@@ -90,7 +90,6 @@ from .distill import (
     default_protocol_grid,
     distill_conditional,
     distill_sweep,
-    fidelity_records,
     on_gate_output,
     select_window,
     write_sweep_csv,

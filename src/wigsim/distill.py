@@ -10,9 +10,11 @@ unnormalized output field is
 with p' = sqrt(t) p - sqrt(1-t) p_v and
 G(p) = exp(-(sqrt(t) p_v + sqrt(1-t) p)^2 / 2), obtained from the joint
 post-beam-splitter field by substituting w for the ancilla position. The
-Gaussian w-kernel does not depend on p_v, so a sweep over outcomes builds
-it once and pays one matrix product per outcome. The outcome density is the
-integral of raw; dividing by it normalizes the conditional state.
+Gaussian w-kernel does not depend on p_v, and interpolating W_in at p' is
+linear in its columns, so the two commute: a sweep over outcomes blurs the
+input once (one matrix product per sweep) and pays only a column
+interpolation per outcome. The outcome density is the integral of raw;
+dividing by it normalizes the conditional state.
 
 Postselection keeps a contiguous outcome window [p-, p+]. Over a window,
 P_suc integrates the density, avg_neg integrates density * negativity, and
@@ -138,40 +140,60 @@ class DistillationOutcome:
             raise ValueError("window must satisfy p- < p+")
 
 
-def _blur_kernel(t: float, grid_in: PhaseSpaceGrid, grid_out: PhaseSpaceGrid):
-    """The p_v-independent Gaussian w-kernel, trapezoid weights included."""
-    q_in = grid_in.axes[0]
-    q_out = grid_out.axes[0]
-    diff = q_out[:, None] - np.sqrt(t) * q_in[None, :]
-    kern = np.exp(-diff * diff / (2.0 * (1.0 - t))) / (
-        2.0 * np.pi * np.sqrt(1.0 - t)
-    )
-    return kern * trapezoid_weights(q_in)[None, :]
+class _Conditional:
+    """The conditional protocol for one input field, t and output grid.
 
+    K @ interp_p(W) == interp_p(K @ W), so the blurred input B = K @ W (K the
+    Gaussian w-kernel with trapezoid weights) is built once; each outcome
+    gathers two columns of B per output p, with weights that fold in G(p)
+    and zero p' off the input grid.
+    """
 
-def _raw_conditional(
-    field: WignerField,
-    t: float,
-    p_v: float,
-    grid_out: PhaseSpaceGrid,
-    kernel: np.ndarray,
-) -> np.ndarray:
-    p_in = field.grid.axes[1]
-    p_out = grid_out.axes[1]
-    rt = np.sqrt(t)
-    rr = np.sqrt(1.0 - t)
+    def __init__(self, field: WignerField, t: float, grid_out: PhaseSpaceGrid):
+        if field.mode_count != 1:
+            raise GridMismatchError("distillation input must be single-mode")
+        if not field.normalized:
+            raise UnnormalizedFieldError("distillation input must be normalized")
+        if not 0.0 < t < 1.0:
+            raise ValueError("transmittance must lie strictly inside (0, 1)")
+        rt, rr = np.sqrt(t), np.sqrt(1.0 - t)
+        self._rt, self._rr = rt, rr
+        q_in, self._p_in = field.grid.axes
+        diff = grid_out.axes[0][:, None] - rt * q_in[None, :]
+        kernel = np.exp(-diff * diff / (2.0 * (1.0 - t))) / (2.0 * np.pi * rr)
+        kernel *= trapezoid_weights(q_in)[None, :]
+        self._blurred = kernel @ field.samples
+        self._grid_out = grid_out
 
-    p_prime = rt * p_out - rr * p_v
-    step = (p_in[-1] - p_in[0]) / (p_in.size - 1)
-    f = (p_prime - p_in[0]) / step
-    inside = (f >= 0.0) & (f <= p_in.size - 1)
-    i0 = np.clip(np.floor(f).astype(np.int64), 0, p_in.size - 2)
-    frac = np.clip(f - i0, 0.0, 1.0)
-    w_p = field.samples[:, i0] * (1.0 - frac) + field.samples[:, i0 + 1] * frac
-    w_p[:, ~inside] = 0.0
+    def __call__(self, p_v: float) -> tuple:
+        """Normalized output field and outcome density for outcome p_v."""
+        p_in = self._p_in
+        p_out = self._grid_out.axes[1]
+        rt, rr = self._rt, self._rr
 
-    g_p = np.exp(-0.5 * (rt * p_v + rr * p_out) ** 2)
-    return (kernel @ w_p) * g_p[None, :]
+        p_prime = rt * p_out - rr * p_v
+        step = (p_in[-1] - p_in[0]) / (p_in.size - 1)
+        f = (p_prime - p_in[0]) / step
+        inside = (f >= 0.0) & (f <= p_in.size - 1)
+        i0 = np.clip(np.floor(f).astype(np.int64), 0, p_in.size - 2)
+        frac = np.clip(f - i0, 0.0, 1.0)
+        g_p = np.exp(-0.5 * (rt * p_v + rr * p_out) ** 2) * inside
+
+        raw = np.take(self._blurred, i0, axis=1)
+        raw *= (1.0 - frac) * g_p
+        upper = np.take(self._blurred, i0 + 1, axis=1)
+        upper *= frac * g_p
+        raw += upper
+        del upper  # free it before the density integral allocates
+
+        density = integrate_samples(raw, self._grid_out.axes)
+        if density < EPS_COND:
+            raise DegenerateConditioningError(
+                f"outcome density {density:.3e} at p_v={p_v:.3f} "
+                f"below {EPS_COND:.0e}"
+            )
+        raw /= density
+        return field_from_samples(self._grid_out, raw), float(density)
 
 
 def distill_conditional(
@@ -181,21 +203,8 @@ def distill_conditional(
     output_grid: PhaseSpaceGrid = None,
 ) -> tuple:
     """Conditional output state and outcome density for one p_v."""
-    if field.mode_count != 1:
-        raise GridMismatchError("distillation input must be single-mode")
-    if not field.normalized:
-        raise UnnormalizedFieldError("distillation input must be normalized")
-    if not 0.0 < t < 1.0:
-        raise ValueError("transmittance must lie strictly inside (0, 1)")
     grid_out = field.grid if output_grid is None else output_grid
-    kernel = _blur_kernel(t, field.grid, grid_out)
-    raw = _raw_conditional(field, t, p_v, grid_out, kernel)
-    density = integrate_samples(raw, grid_out.axes)
-    if density < EPS_COND:
-        raise DegenerateConditioningError(
-            f"outcome density {density:.3e} below {EPS_COND:.0e}"
-        )
-    return field_from_samples(grid_out, raw / density), float(density)
+    return _Conditional(field, t, grid_out)(p_v)
 
 
 def _cubic_target(
@@ -203,14 +212,6 @@ def _cubic_target(
 ) -> WignerField:
     shift = np.sqrt((1.0 - t) / t) * p_v
     return cubic_phase_wigner(gamma, shift, s_targ, grid, check_norm=False)
-
-
-def fidelity_records(outputs, s_targ: float, gamma: float, t: float) -> list:
-    """Fidelity of each (p_v, output field) pair to its shifted cubic target."""
-    return [
-        fidelity_to_pure(f, _cubic_target(gamma, s_targ, t, p_v, f.grid))
-        for p_v, f in outputs
-    ]
 
 
 def _segment_integral(xs, ys, lo, hi) -> float:
@@ -279,22 +280,6 @@ def select_window(records, target_P_suc: float) -> tuple:
 
 def distill_sweep(config: DistillationConfig) -> DistillationOutcome:
     """Run the conditional protocol over every sampled outcome and aggregate."""
-    if isinstance(config.input, WignerField):
-        field = config.input
-    else:
-        grid_in = (
-            default_protocol_grid() if config.input_grid is None else config.input_grid
-        )
-        field = resource_wigner(config.input, grid_in)
-    if field.mode_count != 1:
-        raise GridMismatchError("distillation input must be single-mode")
-    if not field.normalized:
-        raise UnnormalizedFieldError("distillation input must be normalized")
-
-    grid_out = field.grid if config.output_grid is None else config.output_grid
-    kernel = _blur_kernel(config.t, field.grid, grid_out)
-    ini_neg = log_negativity(field)
-
     gamma = config.gamma
     if config.s_targ is not None and gamma is None:
         if isinstance(config.input, CubicPhase):
@@ -302,23 +287,26 @@ def distill_sweep(config: DistillationConfig) -> DistillationOutcome:
         else:
             raise ValueError("fidelity tracking needs gamma for non-cubic inputs")
 
+    if isinstance(config.input, WignerField):
+        field = config.input
+    else:
+        grid_in = (
+            default_protocol_grid() if config.input_grid is None else config.input_grid
+        )
+        field = resource_wigner(config.input, grid_in)
+    grid_out = field.grid if config.output_grid is None else config.output_grid
+    conditional = _Conditional(field, config.t, grid_out)
+    ini_neg = log_negativity(field)
+
     records = []
-    for p_v in config.p_v_samples:
-        raw = _raw_conditional(field, config.t, float(p_v), grid_out, kernel)
-        density = integrate_samples(raw, grid_out.axes)
-        if density < EPS_COND:
-            raise DegenerateConditioningError(
-                f"outcome density {density:.3e} at p_v={p_v:.3f}"
-            )
-        out_field = field_from_samples(grid_out, raw / density)
+    for p_v in config.p_v_samples.tolist():
+        out_field, density = conditional(p_v)
         neg = log_negativity(out_field)
         fid = None
         if config.s_targ is not None:
-            target = _cubic_target(gamma, config.s_targ, config.t, float(p_v), grid_out)
+            target = _cubic_target(gamma, config.s_targ, config.t, p_v, grid_out)
             fid = fidelity_to_pure(out_field, target)
-        records.append(
-            OutcomeRecord(p_v=float(p_v), density=float(density), neg=neg, fid=fid)
-        )
+        records.append(OutcomeRecord(p_v=p_v, density=density, neg=neg, fid=fid))
 
     xs = config.p_v_samples
     if config.window is not None:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -56,8 +58,11 @@ class TestConfigValidation:
             p_v_samples=np.linspace(-2, 2, 5),
             s_targ=4.0,
         )
-        with pytest.raises(ValueError):
-            distill_sweep(cfg)
+        # the config error comes before any field work, so nothing warns
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="needs gamma"):
+                distill_sweep(cfg)
 
 
 class TestConditional:
@@ -81,6 +86,46 @@ class TestConditional:
         half = field_from_samples(grid_small, vacuum_wigner(grid_small).samples / 2)
         with pytest.raises(ws.UnnormalizedFieldError):
             distill_conditional(half, 0.9, 0.0)
+
+    def test_matches_plain_numpy_formula(self):
+        # the module docstring's formula in its written order: interpolate W
+        # at p' (zero off the input grid), blur in q with trapezoid weights,
+        # multiply by G(p); the output grid differs from the input grid in q
+        # count and extent, and its p-range reaches past the input's
+        g_in = ws.build_grid(-6, 6, 97, -5, 5, 81)
+        g_out = ws.build_grid(-5, 5, 73, -9, 9, 121)
+        q_in, p_in = g_in.axes
+        q_out, p_out = g_out.axes
+        # broad in p, so W is far from zero at the input's p edges
+        broad_p = GaussianStateParams(np.zeros(2), np.diag([0.5, 8.0]))
+        w_in = ws.renormalize(gaussian_wigner(broad_p, g_in))
+        t, p_v = 0.6, 1.5
+        rt, rr = np.sqrt(t), np.sqrt(1.0 - t)
+
+        p_prime = rt * p_out - rr * p_v
+        assert p_prime.min() < p_in[0]
+        w_p = np.array(
+            [np.interp(p_prime, p_in, row, left=0.0, right=0.0) for row in w_in.samples]
+        )
+        dq = q_in[1] - q_in[0]
+        trap = np.full(q_in.size, dq)
+        trap[[0, -1]] = dq / 2.0
+        diff = q_out[:, None] - rt * q_in[None, :]
+        kernel = np.exp(-diff * diff / (2.0 * (1.0 - t)))
+        kernel *= trap / (2.0 * np.pi * rr)
+        g_p = np.exp(-0.5 * (rt * p_v + rr * p_out) ** 2)
+        raw = (kernel @ w_p) * g_p
+        density = np.trapezoid(np.trapezoid(raw, p_out, axis=1), q_out)
+
+        # the off-grid zeroing changes the answer by far more than the tolerance
+        scale = np.max(np.abs(raw))
+        w_edge = np.array([np.interp(p_prime, p_in, row) for row in w_in.samples])
+        assert np.max(np.abs((kernel @ w_edge) * g_p - raw)) > 1e-3 * scale
+
+        out, dens = distill_conditional(w_in, t, p_v, output_grid=g_out)
+        assert out.grid is g_out
+        assert abs(dens - density) <= 1e-12 * density
+        assert np.max(np.abs(out.samples * dens - raw)) <= 1e-12 * scale
 
     def test_matches_generic_two_mode_route(self, grid_tiny):
         # independent evaluation: tensor with vacuum, apply the beam
@@ -143,9 +188,9 @@ class TestSelectWindow:
 
 
 @pytest.fixture(scope="module")
-def small_sweep():
+def small_config():
     g = ws.build_grid(-10, 10, 257, -14, 14, 385)
-    cfg = DistillationConfig(
+    return DistillationConfig(
         input=CubicPhase(0.05, 0.0, 0.3),
         t=0.9,
         p_v_samples=np.linspace(-4, 4, 33),
@@ -153,7 +198,11 @@ def small_sweep():
         output_grid=g,
         target_P_suc=1.0,
     )
-    return distill_sweep(cfg)
+
+
+@pytest.fixture(scope="module")
+def small_sweep(small_config):
+    return distill_sweep(small_config)
 
 
 class TestSweep:
@@ -172,6 +221,13 @@ class TestSweep:
     def test_records_cover_samples(self, small_sweep):
         assert len(small_sweep.records) == 33
         assert all(r.density >= 0 for r in small_sweep.records)
+
+    def test_records_match_single_conditional(self, small_config, small_sweep):
+        field = ws.resource_wigner(small_config.input, small_config.input_grid)
+        for rec in small_sweep.records:
+            out, dens = distill_conditional(field, small_config.t, rec.p_v)
+            assert abs(rec.density - dens) <= 1e-12 * dens
+            assert abs(rec.neg - ws.log_negativity(out)) <= 1e-12 * abs(rec.neg)
 
     def test_csv_deterministic(self, small_sweep, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
