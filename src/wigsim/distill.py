@@ -40,7 +40,6 @@ from .grids import (
     PhaseSpaceGrid,
     WignerField,
     build_grid,
-    field_from_samples,
     integrate_samples,
     trapezoid_weights,
     wigner_from_wavefunction,
@@ -193,7 +192,8 @@ class _Conditional:
                 f"below {EPS_COND:.0e}"
             )
         raw /= density
-        return field_from_samples(self._grid_out, raw), float(density)
+        field = WignerField(grid=self._grid_out, samples=raw, normalized=True)
+        return field, float(density)
 
 
 def distill_conditional(

@@ -3,9 +3,23 @@
 A Gaussian unitary acts on the quadrature vector as U' x U = S x + d with S
 symplectic (S Omega S^T = Omega). On Wigner functions this is a coordinate
 substitution, W(x) -> W(S^-1 (x - d)), which apply_symplectic realizes by
-multilinear resampling of the input lattice. Homodyne measurement of one
-quadrature marginalizes the rest; conditioning slices the field at the
-measured value and integrates out the conjugate axis of the measured mode.
+multilinear resampling of the input lattice.
+
+The resampling runs one block of coordinates at a time. Two coordinates
+share a block when S couples them through a nonzero entry (the blocks are
+the connected components of S's nonzero pattern), so S^-1 is
+block-diagonal over the same blocks and each block's source coordinates
+depend on that block's output coordinates alone. The 2^d corner weights
+and the inside-the-grid mask of the multilinear rule then factor into one
+product per block, and successive passes over the blocks give the single
+d-dimensional pass up to rounding. This is exact whenever the zero
+pattern is exact: a beam splitter on (q1, p1, q2, p2) is two 2-D passes
+over (q1, q2) and (p1, p2), a squeeze or a displacement is two 1-D
+passes, and an op mixing q with p, such as a rotation, is one block.
+
+Homodyne measurement of one quadrature marginalizes the rest; conditioning
+slices the field at the measured value and integrates out the conjugate
+axis of the measured mode.
 """
 
 from __future__ import annotations
@@ -59,6 +73,8 @@ class SymplecticOp:
             raise ValueError("S must be square with even dimension")
         if d.shape != (S.shape[0],):
             raise ValueError("d length must match S dimension")
+        if not (np.all(np.isfinite(S)) and np.all(np.isfinite(d))):
+            raise ValueError("S and d must be finite")
         om = omega(S.shape[0] // 2)
         if np.max(np.abs(S @ om @ S.T - om)) > _SYMPLECTIC_TOL:
             raise ValueError("S does not preserve the symplectic form")
@@ -118,59 +134,71 @@ def compose(f: SymplecticOp, g: SymplecticOp) -> SymplecticOp:
     return SymplecticOp(S=f.S @ g.S, d=f.S @ g.d + f.d)
 
 
-def _multilinear_sample(
-    samples: np.ndarray, axes: tuple, points: np.ndarray
-) -> np.ndarray:
-    """Multilinear interpolation of a lattice at arbitrary points (0 outside).
+def _blocks(S: np.ndarray) -> list:
+    """Coordinate blocks: the connected components of S's nonzero pattern."""
+    n = S.shape[0]
+    link = ((S != 0) | (S.T != 0)).astype(float) + np.eye(n)
+    reach = np.linalg.matrix_power(link, n) > 0
+    return sorted({tuple(np.flatnonzero(row)) for row in reach})
 
-    points has shape (M, ndim). Source coordinates within 1e-9 spacings of a
-    node snap to it, so identity maps reproduce node values exactly.
+
+def _resample_block(
+    samples: np.ndarray, axes: tuple, block: tuple, s_inv: np.ndarray, d: np.ndarray
+) -> np.ndarray:
+    """Multilinear resampling over the axes in `block` (0 outside the grid).
+
+    The block's output coordinates x map to sources s_inv (x - d); the other
+    axes ride along as contiguous rows. Source coordinates within 1e-9
+    spacings of a node snap to it, so identity maps reproduce node values
+    exactly.
     """
-    ndim = len(axes)
-    m = points.shape[0]
-    idx = np.empty((ndim, m), dtype=np.int64)
-    frac = np.empty((ndim, m))
+    block_axes = [axes[j] for j in block]
+    mesh = np.meshgrid(*block_axes, indexing="ij")
+    src = (np.stack([m.ravel() for m in mesh], axis=1) - d) @ s_inv.T
+    m = src.shape[0]
+    idx, frac = [], []
     inside = np.ones(m, dtype=bool)
-    for j, ax in enumerate(axes):
+    for j, ax in enumerate(block_axes):
         step = (ax[-1] - ax[0]) / (ax.size - 1)
-        f = (points[:, j] - ax[0]) / step
+        f = (src[:, j] - ax[0]) / step
         near = np.rint(f)
-        snap = np.abs(f - near) < 1e-9
-        f = np.where(snap, near, f)
+        f = np.where(np.abs(f - near) < 1e-9, near, f)
         inside &= (f >= 0.0) & (f <= ax.size - 1)
         i0 = np.clip(np.floor(f).astype(np.int64), 0, ax.size - 2)
-        idx[j] = i0
-        frac[j] = f - i0
+        idx.append(i0)
+        frac.append(f - i0)
 
-    strides = np.array(
-        [int(np.prod([axes[k].size for k in range(j + 1, ndim)])) for j in range(ndim)],
-        dtype=np.int64,
-    )
-    flat = samples.ravel()
-    out = np.zeros(m)
-    for corner in product((0, 1), repeat=ndim):
+    lead = tuple(range(len(block)))
+    moved = np.moveaxis(samples, block, lead)
+    rows = moved.reshape(m, -1)
+    out = np.zeros(rows.shape)
+    for corner in product((0, 1), repeat=len(block)):
         w = inside.astype(float)
-        lin = np.zeros(m, dtype=np.int64)
         for j, bit in enumerate(corner):
             w *= frac[j] if bit else 1.0 - frac[j]
-            lin += (idx[j] + bit) * strides[j]
-        out += w * flat[np.clip(lin, 0, flat.size - 1)]
-    return out
+        corner_idx = [i + bit for i, bit in zip(idx, corner)]
+        gathered = rows[np.ravel_multi_index(corner_idx, moved.shape[: len(block)])]
+        gathered *= w[:, None]
+        out += gathered
+    return np.moveaxis(out.reshape(moved.shape), lead, block)
 
 
 def apply_symplectic(field: WignerField, op: SymplecticOp) -> WignerField:
     """Resample a field under a Gaussian unitary: W_out(x) = W(S^-1 (x - d)).
 
-    Unit Jacobian means the integral is preserved; a normalization drop
-    beyond 10 * TOL_NORM signals support pushed off the grid and raises.
+    The field is resampled one block of S at a time. Unit Jacobian means the
+    integral is preserved; a normalization drop beyond 10 * TOL_NORM signals
+    support pushed off the grid and raises.
     """
     if op.mode_count != field.mode_count:
         raise GridMismatchError("operator and field mode counts differ")
     grid = field.grid
-    mesh = np.meshgrid(*grid.axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    src = (pts - op.d) @ np.linalg.inv(op.S).T
-    vals = _multilinear_sample(field.samples, grid.axes, src).reshape(grid.shape)
+    s_inv = np.linalg.inv(op.S)
+    vals = field.samples
+    for block in _blocks(op.S):
+        sub = np.ix_(block, block)
+        vals = _resample_block(vals, grid.axes, block, s_inv[sub], op.d[list(block)])
+    vals = np.ascontiguousarray(vals)
 
     before = integrate_full(field)
     after = integrate_samples(vals, grid.axes)
@@ -178,7 +206,8 @@ def apply_symplectic(field: WignerField, op: SymplecticOp) -> WignerField:
         raise OutOfDomainError(
             f"transformed support leaves the grid: integral {before:.6f} -> {after:.6f}"
         )
-    return field_from_samples(grid, vals)
+    normalized = abs(after - 1.0) <= TOL_NORM
+    return WignerField(grid=grid, samples=vals, normalized=normalized)
 
 
 def homodyne_pdf(field: WignerField, mode: int, quadrature: str) -> QuadratureDistribution:

@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 import wigsim as ws
 from wigsim import OutOfDomainError
-from wigsim.grids import tensor_product
+from wigsim.grids import integrate_full, tensor_product
 from wigsim.states import (
     GaussianStateParams,
     gaussian_wigner,
@@ -14,6 +16,7 @@ from wigsim.states import (
 )
 from wigsim.symplectic import (
     SymplecticOp,
+    _blocks,
     apply_symplectic,
     compose,
     condition_on_homodyne,
@@ -31,6 +34,42 @@ def sym_dev(op):
     return np.max(np.abs(op.S @ om @ op.S.T - om))
 
 
+def multilinear_reference(field, op):
+    """W(S^-1 (x - d)) by one 2^d-corner multilinear pass over all axes.
+
+    Plain numpy: every node's source point is located on the full lattice,
+    snapped to a node within 1e-9 spacings, and set to zero off the grid.
+    """
+    axes = field.grid.axes
+    mesh = np.meshgrid(*axes, indexing="ij")
+    pts = np.stack([m.ravel() for m in mesh], axis=1)
+    src = (pts - op.d) @ np.linalg.inv(op.S).T
+    inside = np.ones(len(pts), dtype=bool)
+    idx, frac = [], []
+    for j, ax in enumerate(axes):
+        f = (src[:, j] - ax[0]) / ((ax[-1] - ax[0]) / (ax.size - 1))
+        near = np.rint(f)
+        f = np.where(np.abs(f - near) < 1e-9, near, f)
+        inside &= (f >= 0.0) & (f <= ax.size - 1)
+        i0 = np.clip(np.floor(f).astype(np.int64), 0, ax.size - 2)
+        idx.append(i0)
+        frac.append(f - i0)
+    out = np.zeros(len(pts))
+    for corner in product((0, 1), repeat=len(axes)):
+        w = inside.astype(float)
+        for j, bit in enumerate(corner):
+            w *= frac[j] if bit else 1.0 - frac[j]
+        out += w * field.samples[tuple(i + bit for i, bit in zip(idx, corner))]
+    return out.reshape(field.grid.shape)
+
+
+def mode0_rotation(theta):
+    c, sn = np.cos(theta), np.sin(theta)
+    S = np.eye(4)
+    S[:2, :2] = [[c, sn], [-sn, c]]
+    return SymplecticOp(S=S, d=np.zeros(4))
+
+
 class TestOperators:
     def test_omega_blocks(self):
         om = omega(2)
@@ -45,6 +84,14 @@ class TestOperators:
     def test_constructor_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
             SymplecticOp(S=np.eye(2), d=np.zeros(4))
+
+    def test_constructor_rejects_non_finite(self):
+        with pytest.raises(ValueError):
+            SymplecticOp(S=[[np.nan, 0.0], [0.0, np.nan]], d=np.zeros(2))
+        with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+            sym_rotate(np.inf)
+        with pytest.raises(ValueError):
+            sym_displace(np.nan, 0.0)
 
     @given(
         st.floats(min_value=-2.0, max_value=2.0),
@@ -116,6 +163,44 @@ class TestApplySymplectic:
         pair = tensor_product(vac, vac)
         out = apply_symplectic(pair, sym_beamsplitter(0.7))
         assert np.max(np.abs(out.samples - pair.samples)) < 1e-3
+
+    @pytest.mark.parametrize(
+        "case",
+        ["squeeze", "rotate", "beamsplitter", "rotate_then_beamsplitter"],
+    )
+    def test_matches_full_multilinear_reference(self, case):
+        # each op pushes part of the support off the grid (the integral
+        # drops by over 1e-3), so the zero-outside mask matters
+        one = ws.build_grid(-6, 6, 101, -6, 6, 101)
+        two = ws.build_grid(-6, 6, 25, -6, 6, 25)
+        bs_d = SymplecticOp(S=sym_beamsplitter(0.7).S, d=[2.0, -2.0, 1.5, 2.0])
+        field, op, blocks = {
+            "squeeze": (
+                number_state_wigner(1, one),
+                compose(sym_displace(2.0, -1.0), sym_squeeze(0.4)),
+                [(0,), (1,)],
+            ),
+            "rotate": (
+                number_state_wigner(1, one),
+                compose(sym_displace(2.5, 0.5), sym_rotate(0.6)),
+                [(0, 1)],
+            ),
+            "beamsplitter": (
+                tensor_product(number_state_wigner(1, two), vacuum_wigner(two)),
+                bs_d,
+                [(0, 2), (1, 3)],
+            ),
+            "rotate_then_beamsplitter": (
+                tensor_product(number_state_wigner(1, two), vacuum_wigner(two)),
+                compose(bs_d, mode0_rotation(0.5)),
+                [(0, 1, 2, 3)],
+            ),
+        }[case]
+        assert _blocks(op.S) == blocks
+        out = apply_symplectic(field, op)
+        ref = multilinear_reference(field, op)
+        assert np.max(np.abs(out.samples - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert integrate_full(field) - integrate_full(out) > 1e-3
 
     def test_mode_count_mismatch_rejected(self, grid_tiny):
         with pytest.raises(ws.GridMismatchError):
