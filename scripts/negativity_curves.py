@@ -1,58 +1,18 @@
 """Emit mean-photon vs negativity curves for every resource family.
 
-Writes one CSV per family into --outdir. Thin wrapper over the library;
-the same data is reachable through `wigsim sweep-states`.
+Writes one CSV per family into --outdir by running `wigsim sweep-states`
+once per family, on [-16, 16]^2 with 1025 points per axis, and on the
+taller p-range [-40, 40] with 2561 points for the cubic family's p-tails.
 """
 
 import argparse
 import pathlib
+import sys
 
-import numpy as np
+from wigsim import cli
 
-import wigsim as ws
-from wigsim.monotones import log_negativity
-from wigsim.states import (
-    ON,
-    CubicPhase,
-    Number,
-    PhotonMod,
-    mean_photon_analytic,
-    mean_photon_numeric,
-    resource_wigner,
-)
-
-
-def write_rows(path, rows):
-    with open(path, "w") as fh:
-        fh.write("mean_photon,neg\n")
-        for mean, neg in rows:
-            fh.write(f"{mean:.12e},{neg:.12e}\n")
-    print(f"wrote {path} ({len(rows)} rows)")
-
-
-def number_curve(grid, n_max):
-    for n in range(n_max + 1):
-        spec = Number(n)
-        yield mean_photon_analytic(spec), log_negativity(resource_wigner(spec, grid))
-
-
-def on_curve(grid, N, mags):
-    for mag in mags:
-        spec = ON(N, complex(mag))
-        yield mean_photon_analytic(spec), log_negativity(resource_wigner(spec, grid))
-
-
-def cubic_curve(grid, gamma, svals):
-    for s in svals:
-        # momentum offset minimizing the mean photon number
-        spec = CubicPhase(gamma, -6.0 * gamma * np.exp(2.0 * s), float(s))
-        yield mean_photon_analytic(spec), log_negativity(resource_wigner(spec, grid))
-
-
-def pmod_curve(grid, sign, svals):
-    for s in svals:
-        field = resource_wigner(PhotonMod(sign, float(s), 0.0), grid)
-        yield mean_photon_numeric(field), log_negativity(field)
+SQUARE = ["--pmax", "16", "--np", "1025"]
+TALL = ["--pmax", "40", "--np", "2561"]
 
 
 def main():
@@ -65,18 +25,25 @@ def main():
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    grid = ws.default_grid()
-    tall = ws.build_grid(-16, 16, 1025, -40, 40, 2561)
-    svals = np.linspace(0.1, 1.2, args.steps)
-
-    write_rows(outdir / "number.csv", list(number_curve(grid, 6)))
+    steps = ["--steps", str(args.steps)]
+    s_range = ["--s-min", "0.1", "--s-max", "1.2"] + steps
+    runs = {"number.csv": ["--family", "number", "--n-max", "6"] + SQUARE}
     for N in (1, 2, 3):
-        rows = list(on_curve(grid, N, np.linspace(0.05, 1.0, args.steps)))
-        write_rows(outdir / f"on_{N}.csv", rows)
-    write_rows(outdir / "cubic.csv", list(cubic_curve(tall, args.gamma, svals)))
-    write_rows(outdir / "subtract.csv", list(pmod_curve(grid, -1, svals)))
-    write_rows(outdir / "add.csv", list(pmod_curve(grid, 1, svals)))
+        runs[f"on_{N}.csv"] = (
+            ["--family", "on", "--N", str(N), "--a-min", "0.05", "--a-max", "1.0"]
+            + steps
+            + SQUARE
+        )
+    runs["cubic.csv"] = ["--family", "cubic", "--gamma", repr(args.gamma)] + s_range + TALL
+    runs["subtract.csv"] = ["--family", "pmod", "--sign", "-1"] + s_range + SQUARE
+    runs["add.csv"] = ["--family", "pmod", "--sign", "1"] + s_range + SQUARE
+
+    for name, argv in runs.items():
+        rc = cli.main(["sweep-states"] + argv + ["--out", str(outdir / name)])
+        if rc != 0:
+            return rc
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

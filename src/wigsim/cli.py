@@ -12,12 +12,7 @@ import sys
 
 import numpy as np
 
-from .distill import (
-    DistillationConfig,
-    default_protocol_grid,
-    distill_sweep,
-    write_sweep_csv,
-)
+from .distill import DistillationConfig, distill_sweep, write_sweep_csv
 from .errors import PhaseSpaceError
 from .grids import build_grid, field_from_samples, integrate_full, write_field_csv
 from .monotones import log_negativity

@@ -261,21 +261,18 @@ def select_window(records, target_P_suc: float) -> tuple:
     if target_P_suc >= total - slack:
         return (float(xs[0]), float(xs[-1]))
 
-    best = None
-    best_post = -np.inf
-    for i in range(xs.size - 1):
-        for j in range(i + 1, xs.size):
-            mass = mass_prefix[j] - mass_prefix[i]
-            local = max(bin_mass[i], bin_mass[j - 1], 1e-15)
-            if abs(mass - target_P_suc) > local or mass <= 0.0:
-                continue
-            post = (weighted_prefix[j] - weighted_prefix[i]) / mass
-            if post > best_post:
-                best_post = post
-                best = (float(xs[i]), float(xs[j]))
-    if best is None:
+    # every window [xs[i], xs[j]], i < j, in row-major order, so argmax
+    # picks the first of equal maxima
+    i, j = np.triu_indices(xs.size, k=1)
+    mass = mass_prefix[j] - mass_prefix[i]
+    local = np.maximum(np.maximum(bin_mass[i], bin_mass[j - 1]), 1e-15)
+    feasible = np.flatnonzero((np.abs(mass - target_P_suc) <= local) & (mass > 0.0))
+    if feasible.size == 0:
         raise ValueError("no feasible window for the requested success probability")
-    return best
+    i, j = i[feasible], j[feasible]
+    post = (weighted_prefix[j] - weighted_prefix[i]) / mass[feasible]
+    k = np.argmax(post)
+    return (float(xs[i[k]]), float(xs[j[k]]))
 
 
 def distill_sweep(config: DistillationConfig) -> DistillationOutcome:
@@ -346,9 +343,10 @@ def distill_sweep(config: DistillationConfig) -> DistillationOutcome:
 def on_gate_output(gamma: float, q_tilde: float, grid: PhaseSpaceGrid) -> WignerField:
     """Cubic-gate output sigma_{q~} for an infinitely squeezed input.
 
-    The state is the normalized integral of exp(-(q + q~)^2/4 + i gamma q^3)
-    over position, i.e. a cubic phase imprinted on a displaced finite-width
-    Gaussian noise factor.
+    The position wavefunction is exp(-(q + q~)^2/4 + i gamma q^3), a cubic
+    phase imprinted on a displaced finite-width Gaussian noise factor.
+    wigner_from_wavefunction divides by its norm, so the field is flagged
+    unnormalized when the grid cuts off part of the state.
     """
 
     def psi(q):

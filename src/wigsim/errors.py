@@ -18,7 +18,7 @@ class NonNormalizableError(PhaseSpaceError, ValueError):
 
 
 class QuadratureConvergenceError(PhaseSpaceError, ArithmeticError):
-    """A generator's quadrature failed its normalization self-check."""
+    """A generated field failed its normalization self-check: the grid is too small."""
 
 
 class OutOfDomainError(PhaseSpaceError, ValueError):

@@ -274,44 +274,60 @@ def overlap_trace(a: WignerField, b: WignerField) -> float:
 
 
 def wigner_from_wavefunction(
-    psi: Callable[[np.ndarray], np.ndarray],
-    grid: PhaseSpaceGrid,
-    y_max: float | None = None,
-    samples_per_period: int = 8,
+    psi: Callable[[np.ndarray], np.ndarray], grid: PhaseSpaceGrid
 ) -> WignerField:
     """Wigner field of a pure state from its position wavefunction.
 
     W(q, p) = (1/2pi) * int dy psi*(q - y) psi(q + y) exp(-i p y)
 
-    psi is called with ndarray arguments (it is evaluated at q +- y, which
-    can exceed the grid's q-range). The y-integral is truncated at y_max
-    (default: the grid's q half-width) and sampled so the exp(-i p y)
-    oscillation at the largest |p| gets at least samples_per_period points
-    per period; the Gaussian-enveloped chirps this module produces decay
-    fast enough that trapezoid aliasing is negligible at that density.
+    psi is called with ndarray arguments. It is first sampled on the grid's
+    q-axis extended by the axis's own width on each side; that lattice gives
+    the norm int |psi|^2 dx and the support where |psi|^2 exceeds 1e-32 of
+    its peak, and the y-range is half that support's width. psi must be
+    negligible beyond the lattice.
 
-    The result is divided by its own integral (the squared norm of psi on
-    the grid), so unnormalized wavefunctions are accepted.
+    The y-integral is one FFT per block of q-rows. With n = 4 (n_p - 1) and
+    dy = 2 pi / (n dp), bin k of the transform of psi*(q - y) psi(q + y)
+    exp(-i p_min y) is W at p_min + k dp, so the first n_p bins land on the
+    grid's own p-axis; y-samples beyond n are folded modulo n, which leaves
+    every bin exact. The sampled sum aliases W(q, p + 2 pi j / dy), j != 0,
+    onto W(q, p): W must be negligible farther than three grid p-widths
+    beyond either p-edge.
+
+    The result is divided by the norm of psi, never by its own integral,
+    so unnormalized wavefunctions are accepted and mass that falls off the
+    grid shows in the normalized flag, which is set from the on-grid
+    integral.
     """
     if grid.mode_count != 1:
         raise ValueError("wigner_from_wavefunction handles single-mode grids")
-    q = grid.axes[0]
-    p = grid.axes[1]
-    if y_max is None:
-        y_max = (q[-1] - q[0]) / 2
-    p_ref = max(np.max(np.abs(p)), 1e-12)
-    dy = min(2 * np.pi / (samples_per_period * p_ref), y_max / 200)
-    n_half = int(np.ceil(y_max / dy))
-    y = np.linspace(-y_max, y_max, 2 * n_half + 1)
+    q, p = grid.axes
+    dq, dp = grid.spacings
+    x = q[0] + dq * np.arange(1 - q.size, 2 * q.size - 1)
+    dens = np.abs(psi(x)) ** 2
+    norm = float(dens @ trapezoid_weights(x))
+    if not (norm >= 1e-8 and np.isfinite(norm)):
+        raise NonNormalizableError(
+            f"wavefunction norm {norm:.3e} near the grid is negligible or not finite"
+        )
+    support = x[dens > 1e-32 * dens.max()]
 
-    corr = np.conjugate(psi(q[:, None] - y[None, :])) * psi(q[:, None] + y[None, :])
-    kernel = np.exp(-1j * np.outer(y, p)) * trapezoid_weights(y)[:, None]
-    w = (corr @ kernel).real / (2 * np.pi)
-
-    total = integrate_samples(w, grid.axes)
-    if total < 1e-8:
-        raise NonNormalizableError("wavefunction has negligible norm on the grid")
-    return WignerField(grid=grid, samples=w / total, normalized=True)
+    n = 4 * (p.size - 1)
+    dy = 2 * np.pi / (n * dp)
+    half = int(np.ceil((support[-1] - support[0]) / (2 * dy)))
+    y = dy * np.arange(-half, half + 1)
+    phase = np.exp(-1j * p[0] * y)
+    start = -half % n  # where y[0] falls in the folded sequence
+    width = n * int(np.ceil((start + y.size) / n))
+    rows = max(1, 2**18 // width)
+    w = np.empty(grid.shape)
+    for r in range(0, q.size, rows):
+        u = psi(q[r : r + rows, None] + y)  # y is symmetric: u[:, ::-1] is psi(q - y)
+        seq = np.zeros((u.shape[0], width), dtype=complex)
+        seq[:, start : start + y.size] = np.conjugate(u[:, ::-1]) * u * phase
+        folded = seq.reshape(u.shape[0], -1, n).sum(axis=1)
+        w[r : r + rows] = np.fft.fft(folded, axis=1).real[:, : p.size]
+    return field_from_samples(grid, w * (dy / (2 * np.pi * norm)))
 
 
 def _coordinate_columns(grid: PhaseSpaceGrid) -> np.ndarray:

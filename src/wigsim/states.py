@@ -45,7 +45,6 @@ from .grids import (
     WignerField,
     field_from_samples,
     integrate_samples,
-    trapezoid_weights,
 )
 from .special import airy_ai, airy_ai_scaled, laguerre
 from .symplectic import omega
@@ -272,79 +271,36 @@ def _cubic_airy_samples(gamma: float, P: float, s: float, q, p) -> np.ndarray:
     return amp * out
 
 
-def _cubic_quadrature_samples(
-    gamma: float, P: float, s: float, grid: PhaseSpaceGrid
-) -> np.ndarray:
-    """Direct oscillatory y-integral for the cubic-phase Wigner function.
-
-    I(q,p) = int dy cos(2 gamma y^3 + 2 b y) exp(-y^2 / (2 e^{2s})), with the
-    y-range truncated where the damping reaches e^{-18} and the step chosen
-    so the fastest local phase advances less than pi/4 per sample.
-    """
-    q = grid.axes[0]
-    p = grid.axes[1]
-    sig = np.exp(s)
-    y_max = 6.0 * sig
-    b_max = 3.0 * abs(gamma) * max(q[0] ** 2, q[-1] ** 2) + 0.5 * max(
-        abs(p[0] - P), abs(p[-1] - P)
-    )
-    dphi_max = 6.0 * abs(gamma) * y_max**2 + 2.0 * b_max
-    h = (np.pi / 4.0) / max(dphi_max, 1e-6)
-    n_half = int(np.ceil(y_max / h))
-    y = np.linspace(-y_max, y_max, 2 * n_half + 1)
-    wy = trapezoid_weights(y) * np.exp(-y * y / (2.0 * sig * sig))
-
-    # cos(A - p y) split: A(q, y) = 2 gamma y^3 + (6 gamma q^2 + P) y
-    out = np.zeros((q.size, p.size))
-    block = 2048
-    for k0 in range(0, y.size, block):
-        yk = y[k0 : k0 + block]
-        wk = wy[k0 : k0 + block]
-        phase_a = 2.0 * gamma * yk**3 + np.outer(6.0 * gamma * q * q + P, yk)
-        py = np.outer(yk, p)
-        out += (np.cos(phase_a) * wk) @ np.cos(py) + (np.sin(phase_a) * wk) @ np.sin(
-            py
-        )
-    pref = np.exp(-q * q / (2.0 * sig * sig)) / np.sqrt(8.0 * np.pi**3 * sig * sig)
-    return pref[:, None] * out
-
-
 def cubic_phase_wigner(
     gamma: float,
     P: float,
     s: float,
     grid: PhaseSpaceGrid,
-    method: str = "auto",
     check_norm: bool = True,
 ) -> WignerField:
-    """Wigner field of |gamma, P, s>.
+    """Wigner field of |gamma, P, s> from the closed form in the module docstring.
 
-    method selects the evaluation route: "airy" is the closed form in the
-    module docstring, "quadrature" the direct damped oscillatory y-integral,
-    and "auto" uses the closed form (exact Gaussian when gamma = 0). The two
-    nontrivial routes agree to ~1e-9 and exist to check each other.
+    gamma = 0 gives the exact squeezed Gaussian. The independent numerical
+    route to the same field is
+    wigner_from_wavefunction(cubic_phase_wavefunction(gamma, P, s), grid).
 
     With check_norm the on-grid integral must land within 10 * TOL_NORM of
-    1, else the quadrature (or the grid) is deemed inadequate and the call
-    raises. check_norm=False supports states whose support intentionally
-    exceeds the grid (e.g. strongly squeezed fidelity targets); such fields
-    come back flagged unnormalized.
+    1, else the grid is deemed too small and the call raises.
+    check_norm=False supports states whose support intentionally exceeds
+    the grid (e.g. strongly squeezed fidelity targets); such fields come
+    back flagged unnormalized.
     """
     if s < 0:
         raise ValueError("s must be >= 0")
     if grid.mode_count != 1:
         raise GridMismatchError("cubic_phase_wigner is single-mode")
-    if method not in ("auto", "airy", "quadrature"):
-        raise ValueError("method must be auto, airy, or quadrature")
 
-    if gamma == 0.0 and method in ("auto", "airy"):
+    if gamma == 0.0:
         params = GaussianStateParams(
             mean=np.array([0.0, P]),
             cov=np.diag([np.exp(2.0 * s), np.exp(-2.0 * s)]),
         )
         samples = gaussian_wigner(params, grid).samples
-    elif method == "quadrature":
-        samples = _cubic_quadrature_samples(gamma, P, s, grid)
     else:
         qm, pm = grid.open_mesh()
         samples = _cubic_airy_samples(gamma, P, s, qm, pm)
@@ -352,8 +308,7 @@ def cubic_phase_wigner(
     total = integrate_samples(samples, grid.axes)
     if check_norm and abs(total - 1.0) > 10.0 * TOL_NORM:
         raise QuadratureConvergenceError(
-            f"cubic-phase field integrates to {total:.6f}; "
-            "grid too small or quadrature unconverged"
+            f"cubic-phase field integrates to {total:.6f}; grid too small"
         )
     return WignerField(
         grid=grid, samples=samples, normalized=abs(total - 1.0) <= TOL_NORM

@@ -39,7 +39,6 @@ from .grids import (
     PhaseSpaceGrid,
     QuadratureDistribution,
     WignerField,
-    field_from_samples,
     integrate_full,
     integrate_samples,
     trapezoid_weights,
@@ -278,4 +277,6 @@ def condition_on_homodyne(
         raise DegenerateConditioningError(
             f"outcome density {density:.3e} below {EPS_COND:.0e}"
         )
-    return field_from_samples(out_grid, reduced / density), float(density)
+    # density is the integral of reduced, so the quotient integrates to 1
+    out = WignerField(grid=out_grid, samples=reduced / density, normalized=True)
+    return out, float(density)

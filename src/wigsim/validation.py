@@ -11,7 +11,13 @@ import numpy as np
 
 from .distill import DistillationConfig, distill_sweep
 from .fock import fock_density, wigner_from_fock
-from .grids import build_grid, default_grid, integrate_full, overlap_trace
+from .grids import (
+    build_grid,
+    default_grid,
+    integrate_full,
+    overlap_trace,
+    wigner_from_wavefunction,
+)
 from .monotones import fidelity_initial_analytic, fidelity_to_pure, log_negativity
 from .special import airy_ai, laguerre
 from .states import (
@@ -19,6 +25,7 @@ from .states import (
     Gaussian,
     GaussianStateParams,
     Number,
+    cubic_phase_wavefunction,
     cubic_phase_wigner,
     gaussian_wigner,
     number_state_wigner,
@@ -132,10 +139,10 @@ def check_photon_mod_reduces_to_one():
 
 def check_cubic_routes_agree():
     grid = build_grid(-6.0, 6.0, 129, -8.0, 8.0, 129)
-    a = cubic_phase_wigner(0.05, 0.0, 0.5, grid, method="airy", check_norm=False)
-    b = cubic_phase_wigner(0.05, 0.0, 0.5, grid, method="quadrature", check_norm=False)
+    a = cubic_phase_wigner(0.05, 0.0, 0.5, grid, check_norm=False)
+    b = wigner_from_wavefunction(cubic_phase_wavefunction(0.05, 0.0, 0.5), grid)
     err = np.abs(a.samples - b.samples).max()
-    assert err < 1e-8, f"cubic closed form vs quadrature off by {err:.2e}"
+    assert err < 1e-8, f"cubic closed form vs wavefunction route off by {err:.2e}"
     return f"max err {err:.1e}"
 
 

@@ -40,6 +40,7 @@ from wigsim.states import (
     GaussianStateParams,
     Number,
     PhotonMod,
+    cubic_phase_wavefunction,
     cubic_phase_wigner,
     gaussian_wigner,
     number_state_wigner,
@@ -115,15 +116,11 @@ def test_criterion_03_cubic_negativity(s, cubic_reference):
     grid = ws.build_grid(-16, 16, 1025, -40, 40, 2561)
     neg = log_negativity(resource_wigner(CubicPhase(GAMMA, 0.0, s), grid))
 
-    # the library's three routes to the same field, on a reduced grid
+    # the library's two routes to the same field, on a reduced grid
     small = ws.build_grid(-16, 16, 257, -64, 64, 513)
-    sig2 = math.exp(2.0 * s)
     routes = [
-        cubic_phase_wigner(GAMMA, 0.0, s, small, method="airy"),
-        cubic_phase_wigner(GAMMA, 0.0, s, small, method="quadrature"),
-        wigner_from_wavefunction(
-            lambda x: np.exp(1j * GAMMA * x**3 - x * x / (4.0 * sig2)), small
-        ),
+        cubic_phase_wigner(GAMMA, 0.0, s, small),
+        wigner_from_wavefunction(cubic_phase_wavefunction(GAMMA, 0.0, s), small),
     ]
     route_negs = [log_negativity(w) for w in routes]
     spread = max(route_negs) - min(route_negs)
@@ -447,16 +444,12 @@ def test_criterion_10_oracle_equivalence():
     gcubic = ws.build_grid(-12, 12, 193, -40, 40, 641)
     cubic_dev = 0.0
     for s in (0.2, 0.5, 1.0):
-        w_quad = cubic_phase_wigner(GAMMA, 0.0, s, gcubic, method="quadrature")
-        scale = math.exp(-2.0 * s)
-
-        def psi(q, scale=scale):
-            q = np.asarray(q)
-            return np.exp(-q**2 * scale / 4.0 + 1j * GAMMA * q**3)
-
-        w_psi = wigner_from_wavefunction(psi, gcubic)
+        w_airy = cubic_phase_wigner(GAMMA, 0.0, s, gcubic)
+        w_psi = wigner_from_wavefunction(
+            cubic_phase_wavefunction(GAMMA, 0.0, s), gcubic
+        )
         cubic_dev = max(
-            cubic_dev, np.max(np.abs(w_psi.samples - w_quad.samples))
+            cubic_dev, np.max(np.abs(w_psi.samples - w_airy.samples))
         )
     assert cubic_dev < 1e-4
 
@@ -465,7 +458,7 @@ def test_criterion_10_oracle_equivalence():
         "criterion 10",
         f"number/ON/Gaussian dev={exact_dev:.1e} (<1e-6); "
         f"add/subtract dev={pmod_dev:.1e} (<1e-4); "
-        f"wavefunction vs quadrature dev={cubic_dev:.1e} (<1e-4) "
+        f"wavefunction vs Airy dev={cubic_dev:.1e} (<1e-4) "
         f"{elapsed:.0f}s",
     )
 

@@ -186,6 +186,76 @@ class TestSelectWindow:
         local = max(bins[i], bins[j - 1])
         assert abs(mass - target) <= local + 1e-12
 
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(min_value=0.01, max_value=1.0),
+                st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0),
+                st.sampled_from([0.0, 0.3, 1.0]) | st.floats(0.0, 2.0),
+            ),
+            min_size=2,
+            max_size=30,
+        ),
+        st.floats(min_value=0.01, max_value=1.0),
+    )
+    def test_matches_double_loop(self, rows, target):
+        # small value sets make ties between windows common
+        xs = np.cumsum([gap for gap, _, _ in rows])
+        dens = np.array([d for _, d, _ in rows])
+        total = np.sum(0.5 * (dens[:-1] + dens[1:]) * np.diff(xs))
+        if total > 0:
+            dens = dens / total
+        recs = self.records_from(xs, dens, [n for _, _, n in rows])
+
+        def outcome(fn):
+            try:
+                return fn(recs, target)
+            except ValueError:
+                return "raises"
+
+        assert outcome(select_window) == outcome(select_window_loop)
+
+
+def select_window_loop(records, target_P_suc):
+    """select_window as a Python double loop over (i, j); the reference for
+    the vectorised search, including its strict > first-maximum tie-break."""
+    if len(records) < 2:
+        raise ValueError("need at least two records")
+    if not 0.0 < target_P_suc <= 1.0:
+        raise ValueError("target_P_suc must lie in (0, 1]")
+    xs = np.array([r.p_v for r in records])
+    dens = np.array([r.density for r in records])
+    negs = np.array([r.neg for r in records])
+
+    widths = np.diff(xs)
+    bin_mass = 0.5 * (dens[:-1] + dens[1:]) * widths
+    bin_weighted = 0.5 * (dens[:-1] * negs[:-1] + dens[1:] * negs[1:]) * widths
+    mass_prefix = np.concatenate([[0.0], np.cumsum(bin_mass)])
+    weighted_prefix = np.concatenate([[0.0], np.cumsum(bin_weighted)])
+    total = mass_prefix[-1]
+    slack = max(np.max(bin_mass), 1e-15)
+
+    if target_P_suc > total + slack:
+        raise ValueError("target exceeds captured mass")
+    if target_P_suc >= total - slack:
+        return (float(xs[0]), float(xs[-1]))
+
+    best = None
+    best_post = -np.inf
+    for i in range(xs.size - 1):
+        for j in range(i + 1, xs.size):
+            mass = mass_prefix[j] - mass_prefix[i]
+            local = max(bin_mass[i], bin_mass[j - 1], 1e-15)
+            if abs(mass - target_P_suc) > local or mass <= 0.0:
+                continue
+            post = (weighted_prefix[j] - weighted_prefix[i]) / mass
+            if post > best_post:
+                best_post = post
+                best = (float(xs[i]), float(xs[j]))
+    if best is None:
+        raise ValueError("no feasible window for the requested success probability")
+    return best
+
 
 @pytest.fixture(scope="module")
 def small_config():

@@ -181,6 +181,39 @@ class TestWavefunctionRoute:
         )
         assert w.normalized
 
+    def test_mass_off_the_grid_is_flagged_not_rescaled(self, grid_small):
+        # q-squeezed vacuum, r = 1.5: <p^2> = e^3, so p in [-8, 8] holds
+        # only 92.6 % of the mass
+        r = 1.5
+        w = wigner_from_wavefunction(
+            lambda q: np.exp(-(np.asarray(q) ** 2) * np.exp(2 * r) / 4.0),
+            grid_small,
+        )
+        params = ws.GaussianStateParams(
+            mean=np.zeros(2), cov=ws.rotated_squeezed_cov(r, 0.0)
+        )
+        ref = ws.gaussian_wigner(params, grid_small)
+        assert not w.normalized
+        assert abs(integrate_full(w) - 0.926) < 1e-3
+        assert np.max(np.abs(w.samples - ref.samples)) < 1e-12
+
+    def test_displaced_squeezed_on_asymmetric_even_axes(self):
+        # the FFT bins must land on a p-axis that is neither centred nor
+        # odd-sized, and on q-rows that do not include q = 0
+        g = ws.build_grid(-7, 9, 160, -5.3, 9.1, 288)
+        r, q0, p0 = 0.4, 1.3, 2.1
+
+        def psi(q):
+            q = np.asarray(q)
+            return np.exp(-((q - q0) ** 2) * np.exp(2 * r) / 4.0 + 0.5j * p0 * q)
+
+        params = ws.GaussianStateParams(
+            mean=np.array([q0, p0]), cov=ws.rotated_squeezed_cov(r, 0.0)
+        )
+        w = wigner_from_wavefunction(psi, g)
+        assert w.normalized
+        assert np.max(np.abs(w.samples - ws.gaussian_wigner(params, g).samples)) < 1e-12
+
     def test_negligible_norm_rejected(self, grid_small):
         with pytest.raises(NonNormalizableError):
             wigner_from_wavefunction(

@@ -15,9 +15,10 @@ from wigsim import (
     QuadratureConvergenceError,
     UndefinedStateError,
 )
-from wigsim.grids import integrate_full
+from wigsim.grids import integrate_full, wigner_from_wavefunction
 from wigsim.monotones import log_negativity
 from wigsim.states import (
+    cubic_phase_wavefunction,
     cubic_phase_wigner,
     gaussian_wigner,
     ideal_cubic_wigner,
@@ -145,10 +146,10 @@ class TestGaussianStates:
 
 class TestCubicPhase:
     def test_route_agreement(self):
-        # closed form vs direct oscillatory quadrature on a shared grid
+        # closed form vs FFT transform of the wavefunction on a shared grid
         g = ws.build_grid(-6, 6, 129, -8, 8, 129)
-        a = cubic_phase_wigner(0.05, 0.0, 0.5, g, method="airy", check_norm=False)
-        b = cubic_phase_wigner(0.05, 0.0, 0.5, g, method="quadrature", check_norm=False)
+        a = cubic_phase_wigner(0.05, 0.0, 0.5, g, check_norm=False)
+        b = wigner_from_wavefunction(cubic_phase_wavefunction(0.05, 0.0, 0.5), g)
         assert np.max(np.abs(a.samples - b.samples)) < 1e-8
 
     def test_gamma_zero_reduces_to_squeezed_gaussian(self, grid_small):
