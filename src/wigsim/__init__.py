@@ -19,8 +19,6 @@ from .errors import (
     UnnormalizedFieldError,
 )
 from .grids import (
-    DEFAULT_POINTS,
-    DEFAULT_QMAX,
     TOL_NORM,
     PhaseSpaceGrid,
     QuadratureDistribution,
@@ -82,7 +80,6 @@ from .monotones import (
 )
 from .fock import FockDensity, fock_density, wigner_from_fock
 from .distill import (
-    DEFAULT_TRANSMITTANCE,
     DistillationConfig,
     DistillationOutcome,
     OutcomeRecord,

@@ -2,20 +2,33 @@
 
 Subcommands: state (Wigner field to CSV), negativity (monotone report),
 sweep-states (mean photon vs negativity curves), distill (conditional
-protocol sweep to CSV), validate (self-check suite).
+protocol sweep to CSV), study (one of the STUDIES to CSVs), validate
+(self-check suite).
 
 Exit codes: 0 success, 1 computation or validation failure, 2 usage error.
 """
 
 import argparse
+import pathlib
 import sys
 
 import numpy as np
 
-from .distill import DistillationConfig, distill_sweep, write_sweep_csv
-from .errors import PhaseSpaceError
-from .grids import build_grid, field_from_samples, integrate_full, write_field_csv
-from .monotones import log_negativity
+from .distill import (
+    DistillationConfig,
+    default_protocol_grid,
+    distill_sweep,
+    write_sweep_csv,
+)
+from .errors import InvalidGridError, PhaseSpaceError
+from .grids import (
+    TOL_NORM,
+    build_grid,
+    field_from_samples,
+    integrate_full,
+    write_field_csv,
+)
+from .monotones import fidelity_initial_analytic, log_negativity
 from .states import (
     ON,
     CubicPhase,
@@ -26,6 +39,8 @@ from .states import (
     mean_photon_numeric,
     resource_wigner,
 )
+
+GAMMA = 0.05
 
 GRAMMAR = """\
 spec string grammar: family:key=value,key=value,...
@@ -115,91 +130,111 @@ def _add_grid_flags(parser):
     parser.add_argument("--nq", type=int, default=1025)
     parser.add_argument("--pmax", type=float, default=32.0)
     parser.add_argument("--np", dest="n_p", type=int, default=2049)
-    parser.add_argument("--tol", type=float, default=1e-3,
+    parser.add_argument("--tol", type=float, default=TOL_NORM,
                         help="normalization tolerance for the generated field")
 
 
 def _grid_from_args(args):
-    return build_grid(
-        -args.qmax, args.qmax, args.nq, -args.pmax, args.pmax, args.n_p
-    )
+    if not (np.isfinite(args.tol) and args.tol > 0.0):
+        raise UsageError("--tol must be finite and positive")
+    try:
+        return build_grid(
+            -args.qmax, args.qmax, args.nq, -args.pmax, args.pmax, args.n_p
+        )
+    except InvalidGridError as exc:
+        raise UsageError(str(exc)) from None
 
 
-def _field_from_args(args):
-    spec = parse_state_spec(args.spec)
-    grid = _grid_from_args(args)
-    field = resource_wigner(spec, grid)
+def _field(spec, grid, tol):
     # re-flag under the user-selected tolerance
-    return spec, field_from_samples(grid, field.samples, tol=args.tol)
+    return field_from_samples(grid, resource_wigner(spec, grid).samples, tol=tol)
+
+
+def _state_row(spec, grid, tol) -> tuple:
+    """(mean photon number, N_L) of one resource state on grid."""
+    field = _field(spec, grid, tol)
+    if isinstance(spec, (Number, ON, CubicPhase)):
+        mean = mean_photon_analytic(spec)
+    else:
+        mean = mean_photon_numeric(field)
+    return mean, log_negativity(field)
+
+
+def _family_specs(family, values, N=1, gamma=GAMMA, sign=1, theta=0.0) -> list:
+    """Records of one sweep-states family; values are n, |a| or s."""
+    if family == "number":
+        return [Number(n=n) for n in values]
+    if family == "on":
+        return [ON(N=N, a=complex(mag, 0.0)) for mag in values]
+    if family == "cubic":
+        # momentum offset minimizing the mean photon number
+        return [
+            CubicPhase(gamma=gamma, P=-6.0 * gamma * np.exp(2.0 * s), s=float(s))
+            for s in values
+        ]
+    return [PhotonMod(sign=sign, s=float(s), theta=theta) for s in values]
+
+
+def _write_curve(path, grid, specs, tol=TOL_NORM) -> None:
+    rows = [_state_row(spec, grid, tol) for spec in specs]
+    with open(path, "w") as fh:
+        fh.write("mean_photon,neg\n")
+        for mean, neg in rows:
+            fh.write(f"{mean:.12e},{neg:.12e}\n")
+    print(f"wrote {path}  rows={len(rows)}")
+
+
+def _run_sweep(config, path) -> None:
+    outcome = distill_sweep(config)
+    write_sweep_csv(outcome, path)
+    lo, hi = outcome.window
+    line = (
+        f"P_suc={outcome.P_suc:.6f} ini_neg={outcome.ini_neg:.6f} "
+        f"post_neg={outcome.post_neg:.6f} window=[{lo:.6f},{hi:.6f}]"
+    )
+    if outcome.post_fid is not None:
+        line += f" post_fid={outcome.post_fid:.6f}"
+        if isinstance(config.input, CubicPhase):
+            ini_fid = fidelity_initial_analytic(config.input.s, config.s_targ)
+            line += f" fid_ratio={outcome.post_fid / ini_fid:.6f}"
+    print(f"wrote {path}  {line}")
 
 
 def cmd_state(args) -> int:
-    spec, field = _field_from_args(args)
+    field = _field(parse_state_spec(args.spec), _grid_from_args(args), args.tol)
     write_field_csv(field, args.out)
     print(f"wrote {args.out}  integral={integrate_full(field):.6f}")
     return 0
 
 
 def cmd_negativity(args) -> int:
-    spec, field = _field_from_args(args)
-    neg = log_negativity(field)
-    if isinstance(spec, (Number, ON, CubicPhase)):
-        mean = mean_photon_analytic(spec)
-    else:
-        mean = mean_photon_numeric(field)
+    spec = parse_state_spec(args.spec)
+    mean, neg = _state_row(spec, _grid_from_args(args), args.tol)
     print(f"N_L = {neg:.6f}")
     print(f"mean_photon = {mean:.6f}")
     return 0
 
 
-def _sweep_rows(args, grid):
+def cmd_sweep_states(args) -> int:
+    grid = _grid_from_args(args)
     if args.family == "number":
         if args.n_max < args.n_min:
             raise SpecStringError("empty range: n-max < n-min")
-        for n in range(args.n_min, args.n_max + 1):
-            spec = Number(n=n)
-            field = resource_wigner(spec, grid)
-            yield mean_photon_analytic(spec), log_negativity(field)
-        return
-    if args.steps < 1:
+        values = range(args.n_min, args.n_max + 1)
+    elif args.steps < 1:
         raise SpecStringError("empty range: steps < 1")
-    if args.family == "on":
-        mags = np.linspace(args.a_min, args.a_max, args.steps)
+    elif args.family == "on":
         if args.a_min <= 0:
             raise SpecStringError("empty range: a-min must be positive")
-        for mag in mags:
-            spec = ON(N=args.N, a=complex(mag, 0.0))
-            field = resource_wigner(spec, grid)
-            yield mean_photon_analytic(spec), log_negativity(field)
-        return
-    if args.s_max < args.s_min:
+        values = np.linspace(args.a_min, args.a_max, args.steps)
+    elif args.s_max < args.s_min:
         raise SpecStringError("empty range: s-max < s-min")
-    svals = np.linspace(args.s_min, args.s_max, args.steps)
-    if args.family == "cubic":
-        for s in svals:
-            # momentum offset minimizing the mean photon number
-            P = -6.0 * args.gamma * np.exp(2.0 * s)
-            spec = CubicPhase(gamma=args.gamma, P=P, s=float(s))
-            field = resource_wigner(spec, grid)
-            yield mean_photon_analytic(spec), log_negativity(field)
-        return
-    if args.family == "pmod":
-        for s in svals:
-            spec = PhotonMod(sign=args.sign, s=float(s), theta=args.theta)
-            field = resource_wigner(spec, grid)
-            yield mean_photon_numeric(field), log_negativity(field)
-        return
-    raise SpecStringError(f"unknown family {args.family!r}")
-
-
-def cmd_sweep_states(args) -> int:
-    grid = _grid_from_args(args)
-    rows = list(_sweep_rows(args, grid))
-    with open(args.out, "w") as fh:
-        fh.write("mean_photon,neg\n")
-        for mean, neg in rows:
-            fh.write(f"{mean:.12e},{neg:.12e}\n")
-    print(f"wrote {args.out}  rows={len(rows)}")
+    else:
+        values = np.linspace(args.s_min, args.s_max, args.steps)
+    specs = _family_specs(
+        args.family, values, args.N, args.gamma, args.sign, args.theta
+    )
+    _write_curve(args.out, grid, specs, args.tol)
     return 0
 
 
@@ -221,15 +256,68 @@ def cmd_distill(args) -> int:
         )
     except ValueError as exc:
         raise UsageError(str(exc))
-    outcome = distill_sweep(config)
-    write_sweep_csv(outcome, args.out)
-    line = (
-        f"P_suc={outcome.P_suc:.6f} ini_neg={outcome.ini_neg:.6f} "
-        f"post_neg={outcome.post_neg:.6f}"
+    _run_sweep(config, args.out)
+    return 0
+
+
+def _bound_study():
+    # the full-range average bound over the (t, s) matrix of criterion 06
+    grid = default_protocol_grid()
+    for t in (0.9, 0.95, 0.99):
+        for s in (0.2, 0.6, 1.0):
+            yield f"bound_t{t}_s{s}.csv", DistillationConfig(
+                input=CubicPhase(GAMMA, 0.0, s), t=t, target_P_suc=1.0,
+                input_grid=grid, output_grid=grid,
+            )
+
+
+def _effect_study():
+    # the one-percent windows of criterion 07: s = 1.0 gains fidelity toward
+    # the s = 4 target, s = 1.6 does not; p_v is dense where the window lands
+    legs = (
+        (1.0, (20, 1281, 64, 2049),
+         np.r_[np.arange(-6, -4, 0.25), np.arange(-4, -1.5, 0.05),
+               np.arange(-1.5, 6.0001, 0.25)]),
+        (1.6, (24, 1537, 96, 3073),
+         np.r_[np.arange(-6, -4, 0.5), np.arange(-4, -1, 0.1),
+               np.arange(-1, 6.0001, 0.5)]),
     )
-    if outcome.post_fid is not None:
-        line += f" post_fid={outcome.post_fid:.6f}"
-    print(f"wrote {args.out}  {line}")
+    for s, (qm, nq, pm, n_p), p_v in legs:
+        grid = build_grid(-qm, qm, nq, -pm, pm, n_p)
+        yield f"effect_s{s}.csv", DistillationConfig(
+            input=CubicPhase(GAMMA, 0.0, s), t=0.99, p_v_samples=p_v,
+            target_P_suc=0.01, s_targ=4.0, input_grid=grid, output_grid=grid,
+        )
+
+
+def _curves_study():
+    # mean photon vs N_L per family; the cubic family's p-tails need the
+    # taller grid
+    square = build_grid(-16.0, 16.0, 1025, -16.0, 16.0, 1025)
+    tall = build_grid(-16.0, 16.0, 1025, -40.0, 40.0, 2561)
+    s_values = np.linspace(0.1, 1.2, 25)
+    yield "number.csv", (square, _family_specs("number", range(7)))
+    for N in (1, 2, 3):
+        specs = _family_specs("on", np.linspace(0.05, 1.0, 25), N=N)
+        yield f"on_{N}.csv", (square, specs)
+    yield "cubic.csv", (tall, _family_specs("cubic", s_values))
+    yield "subtract.csv", (square, _family_specs("pmod", s_values, sign=-1))
+    yield "add.csv", (square, _family_specs("pmod", s_values, sign=1))
+
+
+# each study yields (file name, job): a DistillationConfig, or a
+# (grid, specs) curve
+STUDIES = {"bound": _bound_study, "effect": _effect_study, "curves": _curves_study}
+
+
+def cmd_study(args) -> int:
+    outdir = pathlib.Path(args.outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, job in STUDIES[args.name]():
+        if isinstance(job, DistillationConfig):
+            _run_sweep(job, outdir / name)
+        else:
+            _write_curve(outdir / name, *job)
     return 0
 
 
@@ -270,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s-min", type=float, default=0.1)
     p.add_argument("--s-max", type=float, default=1.0)
     p.add_argument("--steps", type=int, default=10)
-    p.add_argument("--gamma", type=float, default=0.05)
+    p.add_argument("--gamma", type=float, default=GAMMA)
     p.add_argument("--sign", type=int, default=1, choices=(1, -1))
     p.add_argument("--theta", type=float, default=0.0)
     _add_grid_flags(p)
@@ -278,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep_states)
 
     p = sub.add_parser("distill", help="run a conditional distillation sweep")
-    p.add_argument("--gamma", type=float, default=0.05)
+    p.add_argument("--gamma", type=float, default=GAMMA)
     p.add_argument("--s-ini", type=float, default=1.0)
     p.add_argument("--t", type=float, default=0.95)
     group = p.add_mutually_exclusive_group()
@@ -289,6 +377,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid_flags(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_distill)
+
+    p = sub.add_parser("study", help="run one of the STUDIES, one CSV per sweep")
+    p.add_argument("name", choices=tuple(STUDIES))
+    p.add_argument("--outdir", required=True)
+    p.set_defaults(func=cmd_study)
 
     p = sub.add_parser("validate", help="run the self-check suite")
     p.add_argument("--fast", action="store_true",

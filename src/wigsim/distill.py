@@ -101,8 +101,8 @@ class DistillationConfig:
         )
         if samples.ndim != 1 or samples.size < 2:
             raise ValueError("p_v_samples must hold at least 2 values")
-        if np.any(np.diff(samples) <= 0):
-            raise ValueError("p_v_samples must be strictly increasing")
+        if not np.all(np.isfinite(samples)) or np.any(np.diff(samples) <= 0):
+            raise ValueError("p_v_samples must be finite and strictly increasing")
         samples = samples.copy()
         samples.setflags(write=False)
         object.__setattr__(self, "p_v_samples", samples)
@@ -216,17 +216,14 @@ def _cubic_target(
 
 def _segment_integral(xs, ys, lo, hi) -> float:
     """Integral of the piecewise-linear interpolant of (xs, ys) over [lo, hi]."""
-    total = 0.0
-    for k in range(xs.size - 1):
-        a, b = xs[k], xs[k + 1]
-        left, right = max(a, lo), min(b, hi)
-        if right <= left:
-            continue
-        slope = (ys[k + 1] - ys[k]) / (b - a)
-        y_left = ys[k] + slope * (left - a)
-        y_right = ys[k] + slope * (right - a)
-        total += 0.5 * (y_left + y_right) * (right - left)
-    return total
+    a, b = xs[:-1], xs[1:]
+    left, right = np.maximum(a, lo), np.minimum(b, hi)
+    slope = (ys[1:] - ys[:-1]) / (b - a)
+    y_left = ys[:-1] + slope * (left - a)
+    y_right = ys[:-1] + slope * (right - a)
+    parts = (0.5 * (y_left + y_right) * (right - left))[right > left]
+    # a running sum from 0.0 adds the segments in order, as a loop would
+    return float(np.cumsum(np.concatenate(([0.0], parts)))[-1])
 
 
 def select_window(records, target_P_suc: float) -> tuple:

@@ -1,11 +1,15 @@
 import math
+import pathlib
 import re
+import shlex
 
 import numpy as np
 import pytest
 
-from wigsim.cli import main, parse_state_spec
-from wigsim.grids import read_field_csv
+from wigsim import cli
+from wigsim.cli import build_parser, main, parse_state_spec
+from wigsim.distill import DistillationConfig
+from wigsim.grids import build_grid, read_field_csv
 from wigsim.states import ON, CubicPhase, IdealCubic, Number, PhotonMod
 
 COARSE = ["--qmax", "10", "--nq", "129", "--pmax", "16", "--np", "257"]
@@ -77,6 +81,17 @@ class TestExitCodes:
         assert rc == 2
         assert "error:" in err
         # plain usage errors do not dump the spec grammar
+        assert "spec string grammar" not in err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--nq", "2"], ["--qmax", "-3"], ["--pmax", "nan"],
+         ["--tol", "-1"], ["--tol", "0"], ["--tol", "nan"], ["--tol", "inf"]],
+    )
+    def test_bad_grid_flags_are_usage_errors(self, capsys, flags):
+        rc, _, err = run(capsys, ["negativity", "number:n=1"] + COARSE + flags)
+        assert rc == 2
+        assert "error:" in err
         assert "spec string grammar" not in err
 
     def test_psuc_and_window_are_exclusive(self, capsys, tmp_path):
@@ -253,3 +268,48 @@ class TestValidate:
         assert rc == 0
         assert "[PASS]" in out
         assert "[FAIL]" not in out
+
+
+class TestStudy:
+    def test_tiny_table(self, capsys, tmp_path, monkeypatch):
+        grid = build_grid(-10, 10, 65, -16, 16, 129)
+
+        def tiny():
+            yield "sweep.csv", DistillationConfig(
+                input=CubicPhase(0.05, 0.0, 0.3), t=0.9,
+                p_v_samples=np.linspace(-3.0, 3.0, 9), target_P_suc=1.0,
+                s_targ=4.0, input_grid=grid, output_grid=grid,
+            )
+            yield "curve.csv", (grid, [Number(0), Number(1)])
+
+        monkeypatch.setattr(cli, "STUDIES", {"tiny": tiny})
+        outdir = tmp_path / "out"
+        rc, out, _ = run(capsys, ["study", "tiny", "--outdir", str(outdir)])
+        assert rc == 0
+        assert sorted(p.name for p in outdir.iterdir()) == ["curve.csv", "sweep.csv"]
+        sweep = (outdir / "sweep.csv").read_text().splitlines()
+        assert sweep[0] == "p_v,density,neg,fid"
+        assert len(sweep) == 1 + 9 + 2
+        assert sweep[-2].startswith("# P_suc=")
+        assert sweep[-1].startswith("# avg_fid=")
+        curve = (outdir / "curve.csv").read_text().splitlines()
+        assert curve[0] == "mean_photon,neg"
+        assert len(curve) == 3
+        assert "window=[-3.000000,3.000000]" in out
+        assert stdout_value(out, "fid_ratio") > 0.0
+        assert "rows=2" in out
+
+    def test_unknown_study_is_usage_error(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["study", "bogus", "--outdir", str(tmp_path)])
+        assert exc.value.code == 2
+
+
+def test_readme_commands_parse():
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```\n(.*?)```", readme.read_text(), flags=re.S)
+    lines = [ln for b in blocks for ln in b.splitlines() if ln.startswith("wigsim ")]
+    assert len(lines) >= 6
+    parser = build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line)[1:])

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import wigsim as ws
 from wigsim.distill import (
     DistillationConfig,
+    _segment_integral,
     OutcomeRecord,
     default_protocol_grid,
     distill_conditional,
@@ -41,11 +42,15 @@ class TestConfigValidation:
             )
 
     def test_samples_must_increase(self):
-        with pytest.raises(ValueError):
-            DistillationConfig(
-                input=CubicPhase(0.05, 0.0, 0.5),
-                p_v_samples=np.array([0.0, 1.0, 1.0]),
-            )
+        # a NaN compares false with everything and a trailing inf leaves
+        # increasing differences, so both need their own rejection
+        for samples in ([0.0, 1.0, 1.0], [0.0, np.nan, 1.0],
+                        [0.0, 1.0, np.inf], [-np.inf, 0.0, 1.0]):
+            with pytest.raises(ValueError, match="p_v_samples"):
+                DistillationConfig(
+                    input=CubicPhase(0.05, 0.0, 0.5),
+                    p_v_samples=np.array(samples),
+                )
 
     def test_bad_window_order(self):
         with pytest.raises(ValueError):
@@ -255,6 +260,37 @@ def select_window_loop(records, target_P_suc):
     if best is None:
         raise ValueError("no feasible window for the requested success probability")
     return best
+
+
+@given(st.integers(2, 120), st.integers(0, 2**32 - 1), st.booleans())
+def test_segment_integral_matches_loop(n, seed, on_knots):
+    # numpy-drawn values, unlike hypothesis' simple floats, round in their
+    # sums, so a change of summation order shows
+    rng = np.random.default_rng(seed)
+    xs = np.cumsum(rng.uniform(0.01, 1.0, n))
+    ys = rng.exponential(1.0, n)
+    if on_knots:
+        lo, hi = np.sort(rng.choice(xs, 2, replace=False))
+    else:
+        lo, hi = np.sort(rng.uniform(xs[0] - 1.0, xs[-1] + 1.0, 2))
+    lo, hi = float(lo), float(hi)
+    assert _segment_integral(xs, ys, lo, hi) == segment_integral_loop(xs, ys, lo, hi)
+
+
+def segment_integral_loop(xs, ys, lo, hi):
+    """_segment_integral as a Python loop over segments; the reference for
+    the vectorised sum, which adds the same terms in the same order."""
+    total = 0.0
+    for k in range(xs.size - 1):
+        a, b = xs[k], xs[k + 1]
+        left, right = max(a, lo), min(b, hi)
+        if right <= left:
+            continue
+        slope = (ys[k + 1] - ys[k]) / (b - a)
+        y_left = ys[k] + slope * (left - a)
+        y_right = ys[k] + slope * (right - a)
+        total += 0.5 * (y_left + y_right) * (right - left)
+    return total
 
 
 @pytest.fixture(scope="module")
