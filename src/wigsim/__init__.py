@@ -13,7 +13,6 @@ from .errors import (
     NonNormalizableError,
     OutOfDomainError,
     PhaseSpaceError,
-    QuadratureConvergenceError,
     TruncationError,
     UndefinedStateError,
     UnnormalizedFieldError,

@@ -21,13 +21,7 @@ from .distill import (
     write_sweep_csv,
 )
 from .errors import InvalidGridError, PhaseSpaceError
-from .grids import (
-    TOL_NORM,
-    build_grid,
-    field_from_samples,
-    integrate_full,
-    write_field_csv,
-)
+from .grids import build_grid, integrate_full, write_field_csv
 from .monotones import fidelity_initial_analytic, log_negativity
 from .states import (
     ON,
@@ -130,13 +124,9 @@ def _add_grid_flags(parser):
     parser.add_argument("--nq", type=int, default=1025)
     parser.add_argument("--pmax", type=float, default=32.0)
     parser.add_argument("--np", dest="n_p", type=int, default=2049)
-    parser.add_argument("--tol", type=float, default=TOL_NORM,
-                        help="normalization tolerance for the generated field")
 
 
 def _grid_from_args(args):
-    if not (np.isfinite(args.tol) and args.tol > 0.0):
-        raise UsageError("--tol must be finite and positive")
     try:
         return build_grid(
             -args.qmax, args.qmax, args.nq, -args.pmax, args.pmax, args.n_p
@@ -145,14 +135,9 @@ def _grid_from_args(args):
         raise UsageError(str(exc)) from None
 
 
-def _field(spec, grid, tol):
-    # re-flag under the user-selected tolerance
-    return field_from_samples(grid, resource_wigner(spec, grid).samples, tol=tol)
-
-
-def _state_row(spec, grid, tol) -> tuple:
+def _state_row(spec, grid) -> tuple:
     """(mean photon number, N_L) of one resource state on grid."""
-    field = _field(spec, grid, tol)
+    field = resource_wigner(spec, grid)
     if isinstance(spec, (Number, ON, CubicPhase)):
         mean = mean_photon_analytic(spec)
     else:
@@ -175,8 +160,8 @@ def _family_specs(family, values, N=1, gamma=GAMMA, sign=1, theta=0.0) -> list:
     return [PhotonMod(sign=sign, s=float(s), theta=theta) for s in values]
 
 
-def _write_curve(path, grid, specs, tol=TOL_NORM) -> None:
-    rows = [_state_row(spec, grid, tol) for spec in specs]
+def _write_curve(path, grid, specs) -> None:
+    rows = [_state_row(spec, grid) for spec in specs]
     with open(path, "w") as fh:
         fh.write("mean_photon,neg\n")
         for mean, neg in rows:
@@ -201,7 +186,7 @@ def _run_sweep(config, path) -> None:
 
 
 def cmd_state(args) -> int:
-    field = _field(parse_state_spec(args.spec), _grid_from_args(args), args.tol)
+    field = resource_wigner(parse_state_spec(args.spec), _grid_from_args(args))
     write_field_csv(field, args.out)
     print(f"wrote {args.out}  integral={integrate_full(field):.6f}")
     return 0
@@ -209,7 +194,7 @@ def cmd_state(args) -> int:
 
 def cmd_negativity(args) -> int:
     spec = parse_state_spec(args.spec)
-    mean, neg = _state_row(spec, _grid_from_args(args), args.tol)
+    mean, neg = _state_row(spec, _grid_from_args(args))
     print(f"N_L = {neg:.6f}")
     print(f"mean_photon = {mean:.6f}")
     return 0
@@ -226,6 +211,8 @@ def cmd_sweep_states(args) -> int:
     elif args.family == "on":
         if args.a_min <= 0:
             raise SpecStringError("empty range: a-min must be positive")
+        if args.a_max < args.a_min:
+            raise SpecStringError("empty range: a-max < a-min")
         values = np.linspace(args.a_min, args.a_max, args.steps)
     elif args.s_max < args.s_min:
         raise SpecStringError("empty range: s-max < s-min")
@@ -234,7 +221,7 @@ def cmd_sweep_states(args) -> int:
     specs = _family_specs(
         args.family, values, args.N, args.gamma, args.sign, args.theta
     )
-    _write_curve(args.out, grid, specs, args.tol)
+    _write_curve(args.out, grid, specs)
     return 0
 
 

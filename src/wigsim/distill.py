@@ -45,7 +45,7 @@ from .grids import (
     wigner_from_wavefunction,
 )
 from .monotones import fidelity_to_pure, log_negativity
-from .states import CubicPhase, ResourceStateSpec, cubic_phase_wigner, resource_wigner
+from .states import CubicPhase, cubic_phase_wigner, resource_wigner
 from .symplectic import EPS_COND
 
 DEFAULT_TRANSMITTANCE = 0.95
@@ -211,7 +211,7 @@ def _cubic_target(
     gamma: float, s_targ: float, t: float, p_v: float, grid: PhaseSpaceGrid
 ) -> WignerField:
     shift = np.sqrt((1.0 - t) / t) * p_v
-    return cubic_phase_wigner(gamma, shift, s_targ, grid, check_norm=False)
+    return cubic_phase_wigner(gamma, shift, s_targ, grid)
 
 
 def _segment_integral(xs, ys, lo, hi) -> float:

@@ -17,10 +17,6 @@ class NonNormalizableError(PhaseSpaceError, ValueError):
     """A state with negligible norm on the grid cannot be normalized."""
 
 
-class QuadratureConvergenceError(PhaseSpaceError, ArithmeticError):
-    """A generated field failed its normalization self-check: the grid is too small."""
-
-
 class OutOfDomainError(PhaseSpaceError, ValueError):
     """A transform pushed significant Wigner mass outside the grid."""
 

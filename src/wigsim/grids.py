@@ -201,12 +201,14 @@ class WignerField:
         return self.grid.mode_count
 
 
-def field_from_samples(
-    grid: PhaseSpaceGrid, samples: np.ndarray, tol: float = TOL_NORM
-) -> WignerField:
-    """Wrap samples, setting the normalized flag from the actual integral."""
+def field_from_samples(grid: PhaseSpaceGrid, samples: np.ndarray) -> WignerField:
+    """Wrap samples, flagging them normalized iff |integral - 1| <= TOL_NORM.
+
+    This is the package's one normalization rule; there is no per-call
+    tolerance.
+    """
     total = integrate_samples(np.asarray(samples, dtype=float), grid.axes)
-    return WignerField(grid=grid, samples=samples, normalized=abs(total - 1.0) <= tol)
+    return WignerField(grid=grid, samples=samples, normalized=abs(total - 1.0) <= TOL_NORM)
 
 
 def integrate_full(field: WignerField) -> float:

@@ -1,11 +1,12 @@
 """Airy and Laguerre evaluation on arrays, self-contained.
 
-airy_ai uses the ascending power series on |x| <= 6 and Poincare-type
-asymptotic expansions outside. Fixed term counts keep every branch within
-~1e-9 absolute of the true value, which is far below the quadrature noise
-of any field built on top. airy_ai_scaled returns exp((2/3) x^{3/2}) Ai(x)
-for x >= 0 so callers can fold the decay into their own exponents and never
-underflow mid-product; for x < 0 the scale factor is 1 by convention.
+airy_ai_scaled is the one Airy evaluator: the ascending power series on
+|x| <= 6 and Poincare-type asymptotic expansions outside. Fixed term counts
+keep every branch within ~1e-9 absolute of the true value, which is far
+below the quadrature noise of any field built on top. It returns
+exp((2/3) x^{3/2}) Ai(x) for x >= 0 so callers can fold the decay into
+their own exponents and never underflow mid-product; for x < 0 the scale
+factor is 1 by convention. airy_ai applies the decay back.
 """
 
 from __future__ import annotations
@@ -47,16 +48,15 @@ def _series(x: np.ndarray) -> np.ndarray:
     return _C1 * f - _C2 * g
 
 
-def _asym_right(x: np.ndarray, scaled: bool) -> np.ndarray:
+def _asym_right(x: np.ndarray) -> np.ndarray:
+    # exp((2/3) x^{3/2}) Ai(x)
     zeta = (2.0 / 3.0) * x**1.5
     s = np.zeros_like(x)
     for k in range(_ASYM_TERMS, -1, -1):
         sign = -1.0 if k % 2 else 1.0
         s = s / zeta + sign * _U[k]
     pref = 1.0 / (2.0 * np.sqrt(np.pi) * x**0.25)
-    if scaled:
-        return pref * s
-    return pref * s * np.exp(-zeta)
+    return pref * s
 
 
 def _asym_left(x: np.ndarray) -> np.ndarray:
@@ -77,20 +77,7 @@ def _asym_left(x: np.ndarray) -> np.ndarray:
 def airy_ai(x) -> np.ndarray:
     """Ai(x) for real array input, vectorized."""
     arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    out = np.empty_like(arr)
-
-    left = arr < -_SPLIT
-    right = arr > _SPLIT
-    mid = ~(left | right)
-    if np.any(mid):
-        out[mid] = _series(arr[mid])
-    if np.any(left):
-        out[left] = _asym_left(arr[left])
-    if np.any(right):
-        out[right] = _asym_right(arr[right], scaled=False)
-    return out[0] if scalar else out
+    return airy_ai_scaled(arr) * np.exp(-(2.0 / 3.0) * np.maximum(arr, 0.0) ** 1.5)
 
 
 def airy_ai_scaled(x) -> np.ndarray:
@@ -101,9 +88,9 @@ def airy_ai_scaled(x) -> np.ndarray:
     out = np.empty_like(arr)
 
     left = arr < -_SPLIT
-    mid_neg = (arr >= -_SPLIT) & (arr <= 0)
     mid_pos = (arr > 0) & (arr <= _SPLIT)
     right = arr > _SPLIT
+    mid_neg = ~(left | mid_pos | right)  # NaN lands here and stays NaN
     if np.any(left):
         out[left] = _asym_left(arr[left])
     if np.any(mid_neg):
@@ -112,7 +99,7 @@ def airy_ai_scaled(x) -> np.ndarray:
         sub = arr[mid_pos]
         out[mid_pos] = _series(sub) * np.exp((2.0 / 3.0) * sub**1.5)
     if np.any(right):
-        out[right] = _asym_right(arr[right], scaled=True)
+        out[right] = _asym_right(arr[right])
     return out[0] if scalar else out
 
 

@@ -33,19 +33,8 @@ from typing import Union
 
 import numpy as np
 
-from .errors import (
-    GridMismatchError,
-    QuadratureConvergenceError,
-    UndefinedStateError,
-    UnnormalizedFieldError,
-)
-from .grids import (
-    TOL_NORM,
-    PhaseSpaceGrid,
-    WignerField,
-    field_from_samples,
-    integrate_samples,
-)
+from .errors import GridMismatchError, UndefinedStateError, UnnormalizedFieldError
+from .grids import PhaseSpaceGrid, WignerField, field_from_samples, integrate_samples
 from .special import airy_ai, airy_ai_scaled, laguerre
 from .symplectic import omega
 
@@ -259,24 +248,14 @@ def _cubic_airy_samples(gamma: float, P: float, s: float, q, p) -> np.ndarray:
     arg = (2.0 * b + 1.0 / (24.0 * g * sig2 * sig2)) / cbrt
     expo = 2.0 * b * kappa + c0 - q * q / (2.0 * sig2)
 
+    # fold the Airy decay exp(-(2/3) arg^{3/2}) into the exponent
+    expo = expo - (2.0 / 3.0) * np.maximum(arg, 0.0) ** 1.5
     amp = 2.0 * np.pi / (cbrt * np.sqrt(8.0 * np.pi**3 * sig2))
-    out = np.empty(arg.shape)
-    neg = arg <= 0
-    out[neg] = np.exp(expo[neg]) * airy_ai(arg[neg])
-    pos = ~neg
-    arg_pos = arg[pos]
-    out[pos] = np.exp(expo[pos] - (2.0 / 3.0) * arg_pos**1.5) * airy_ai_scaled(
-        arg_pos
-    )
-    return amp * out
+    return amp * (np.exp(expo) * airy_ai_scaled(arg))
 
 
 def cubic_phase_wigner(
-    gamma: float,
-    P: float,
-    s: float,
-    grid: PhaseSpaceGrid,
-    check_norm: bool = True,
+    gamma: float, P: float, s: float, grid: PhaseSpaceGrid
 ) -> WignerField:
     """Wigner field of |gamma, P, s> from the closed form in the module docstring.
 
@@ -284,35 +263,23 @@ def cubic_phase_wigner(
     route to the same field is
     wigner_from_wavefunction(cubic_phase_wavefunction(gamma, P, s), grid).
 
-    With check_norm the on-grid integral must land within 10 * TOL_NORM of
-    1, else the grid is deemed too small and the call raises.
-    check_norm=False supports states whose support intentionally exceeds
-    the grid (e.g. strongly squeezed fidelity targets); such fields come
-    back flagged unnormalized.
+    Like every generator, the field is flagged by field_from_samples: on a
+    grid too small for the state (or for a strongly squeezed fidelity
+    target) it comes back flagged unnormalized, and consumers that need a
+    state refuse it.
     """
     if s < 0:
         raise ValueError("s must be >= 0")
     if grid.mode_count != 1:
         raise GridMismatchError("cubic_phase_wigner is single-mode")
-
     if gamma == 0.0:
         params = GaussianStateParams(
             mean=np.array([0.0, P]),
             cov=np.diag([np.exp(2.0 * s), np.exp(-2.0 * s)]),
         )
-        samples = gaussian_wigner(params, grid).samples
-    else:
-        qm, pm = grid.open_mesh()
-        samples = _cubic_airy_samples(gamma, P, s, qm, pm)
-
-    total = integrate_samples(samples, grid.axes)
-    if check_norm and abs(total - 1.0) > 10.0 * TOL_NORM:
-        raise QuadratureConvergenceError(
-            f"cubic-phase field integrates to {total:.6f}; grid too small"
-        )
-    return WignerField(
-        grid=grid, samples=samples, normalized=abs(total - 1.0) <= TOL_NORM
-    )
+        return gaussian_wigner(params, grid)
+    qm, pm = grid.open_mesh()
+    return field_from_samples(grid, _cubic_airy_samples(gamma, P, s, qm, pm))
 
 
 def ideal_cubic_wigner(gamma: float, P: float, grid: PhaseSpaceGrid) -> WignerField:

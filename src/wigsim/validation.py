@@ -14,14 +14,12 @@ from .fock import fock_density, wigner_from_fock
 from .grids import (
     build_grid,
     default_grid,
-    integrate_full,
     overlap_trace,
     wigner_from_wavefunction,
 )
 from .monotones import fidelity_initial_analytic, fidelity_to_pure, log_negativity
 from .special import airy_ai, laguerre
 from .states import (
-    CubicPhase,
     Gaussian,
     GaussianStateParams,
     Number,
@@ -139,7 +137,7 @@ def check_photon_mod_reduces_to_one():
 
 def check_cubic_routes_agree():
     grid = build_grid(-6.0, 6.0, 129, -8.0, 8.0, 129)
-    a = cubic_phase_wigner(0.05, 0.0, 0.5, grid, check_norm=False)
+    a = cubic_phase_wigner(0.05, 0.0, 0.5, grid)
     b = wigner_from_wavefunction(cubic_phase_wavefunction(0.05, 0.0, 0.5), grid)
     err = np.abs(a.samples - b.samples).max()
     assert err < 1e-8, f"cubic closed form vs wavefunction route off by {err:.2e}"
@@ -173,7 +171,7 @@ def check_number_negativity():
 def check_fidelity_anchor():
     grid = default_grid()
     w = cubic_phase_wigner(0.05, 0.0, 0.2, grid)
-    targ = cubic_phase_wigner(0.05, 0.0, 4.0, grid, check_norm=False)
+    targ = cubic_phase_wigner(0.05, 0.0, 4.0, grid)
     got = fidelity_to_pure(w, targ)
     want = fidelity_initial_analytic(0.2, 4.0)
     err = abs(got - want)

@@ -179,7 +179,7 @@ def test_criterion_05_fidelity_anchors():
         w_ini = cubic_phase_wigner(GAMMA, 0.0, s_ini, grid)
         # the target state is far wider than any workable grid; the overlap
         # product is still supported where the initial state lives
-        w_targ = cubic_phase_wigner(GAMMA, 0.0, 4.0, grid, check_norm=False)
+        w_targ = cubic_phase_wigner(GAMMA, 0.0, 4.0, grid)
         fid = fidelity_to_pure(w_ini, w_targ)
         exact = 1.0 / math.cosh(4.0 - s_ini)
         analytic = fidelity_initial_analytic(s_ini, 4.0)

@@ -85,14 +85,27 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--nq", "2"], ["--qmax", "-3"], ["--pmax", "nan"],
-         ["--tol", "-1"], ["--tol", "0"], ["--tol", "nan"], ["--tol", "inf"]],
+        [["--nq", "2"], ["--qmax", "-3"], ["--pmax", "nan"]],
     )
     def test_bad_grid_flags_are_usage_errors(self, capsys, flags):
         rc, _, err = run(capsys, ["negativity", "number:n=1"] + COARSE + flags)
         assert rc == 2
         assert "error:" in err
         assert "spec string grammar" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["state", "number:n=1", "--out", "x.csv"], ["negativity", "number:n=1"],
+         ["sweep-states", "--family", "number", "--out", "x.csv"],
+         ["distill", "--out", "x.csv"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_tol_flag_is_rejected(self, capsys, argv):
+        # the normalization tolerance is TOL_NORM, with no per-call override
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--tol", "1e-3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
     def test_psuc_and_window_are_exclusive(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -224,6 +237,17 @@ class TestSweepStates:
         assert rc == 2
         assert "a-min" in err
 
+    def test_descending_amplitude_range_rejected(self, capsys, tmp_path):
+        path = tmp_path / "x.csv"
+        rc, _, err = run(
+            capsys,
+            ["sweep-states", "--family", "on", "--a-min", "0.9", "--a-max", "0.1",
+             "--steps", "3", *self.GRID, "--out", str(path)],
+        )
+        assert rc == 2
+        assert "empty range: a-max < a-min" in err
+        assert not path.exists()
+
 
 class TestDistillCommand:
     BASE = ["distill", "--gamma", "0.05", "--s-ini", "0.3", "--t", "0.9"] + COARSE
@@ -313,3 +337,11 @@ def test_readme_commands_parse():
     parser = build_parser()
     for line in lines:
         parser.parse_args(shlex.split(line)[1:])
+
+
+def test_readme_grammar_matches_cli():
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```\n(.*?)```", readme.read_text(), flags=re.S)
+    # the five family rules of the grammar, without their two-space indent
+    rules = "".join(ln[2:] + "\n" for ln in cli.GRAMMAR.splitlines()[1:6])
+    assert rules in blocks

@@ -138,7 +138,7 @@ class TestConditional:
         # is limited by the 61-point multilinear interpolation and halves
         # on refinement
         w_in = ws.renormalize(
-            ws.cubic_phase_wigner(0.05, 0.0, 0.3, grid_tiny, check_norm=False)
+            ws.cubic_phase_wigner(0.05, 0.0, 0.3, grid_tiny)
         )
         vac = vacuum_wigner(grid_tiny)
         t, p_v = 0.9, -0.8
@@ -334,6 +334,17 @@ class TestSweep:
             out, dens = distill_conditional(field, small_config.t, rec.p_v)
             assert abs(rec.density - dens) <= 1e-12 * dens
             assert abs(rec.neg - ws.log_negativity(out)) <= 1e-12 * abs(rec.neg)
+
+    def test_undersized_cubic_input_refused(self):
+        # a +-3 window cannot hold the s=1.5 cubic state: the generated
+        # input comes back flagged and the sweep refuses it
+        grid = ws.build_grid(-3, 3, 65, -3, 3, 65)
+        config = DistillationConfig(
+            input=CubicPhase(0.05, 0.0, 1.5), t=0.9, target_P_suc=1.0,
+            input_grid=grid, output_grid=grid,
+        )
+        with pytest.raises(ws.UnnormalizedFieldError):
+            distill_sweep(config)
 
     def test_csv_deterministic(self, small_sweep, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"

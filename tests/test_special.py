@@ -35,6 +35,13 @@ def test_airy_scaled_far_right_no_underflow():
     assert np.max(np.abs(v - ref) / ref) < 1e-9
 
 
+def test_airy_propagates_nan():
+    x = np.array([np.nan, -8.0, -1.0, 1.0, 8.0])
+    for airy in (airy_ai, airy_ai_scaled):
+        v = airy(x)
+        assert np.isnan(v[0]) and np.all(np.isfinite(v[1:]))
+
+
 @given(st.floats(min_value=-25.0, max_value=15.0))
 def test_airy_pointwise_vs_scipy(x):
     assert abs(airy_ai(x) - scipy.special.airy(x)[0]) < 1e-9

@@ -12,7 +12,6 @@ from wigsim import (
     IdealCubic,
     Number,
     PhotonMod,
-    QuadratureConvergenceError,
     UndefinedStateError,
 )
 from wigsim.grids import integrate_full, wigner_from_wavefunction
@@ -148,7 +147,7 @@ class TestCubicPhase:
     def test_route_agreement(self):
         # closed form vs FFT transform of the wavefunction on a shared grid
         g = ws.build_grid(-6, 6, 129, -8, 8, 129)
-        a = cubic_phase_wigner(0.05, 0.0, 0.5, g, check_norm=False)
+        a = cubic_phase_wigner(0.05, 0.0, 0.5, g)
         b = wigner_from_wavefunction(cubic_phase_wavefunction(0.05, 0.0, 0.5), g)
         assert np.max(np.abs(a.samples - b.samples)) < 1e-8
 
@@ -169,14 +168,9 @@ class TestCubicPhase:
         w = resource_wigner(spec, g)
         assert abs(mean_photon_numeric(w) - mean_photon_analytic(spec)) < 1e-4
 
-    def test_check_norm_raises_on_undersized_grid(self):
+    def test_undersized_grid_flags_unnormalized(self):
         g = ws.build_grid(-3, 3, 65, -3, 3, 65)
-        with pytest.raises(QuadratureConvergenceError):
-            cubic_phase_wigner(0.05, 0.0, 1.5, g)
-
-    def test_check_norm_false_flags_unnormalized(self):
-        g = ws.build_grid(-3, 3, 65, -3, 3, 65)
-        w = cubic_phase_wigner(0.05, 0.0, 1.5, g, check_norm=False)
+        w = cubic_phase_wigner(0.05, 0.0, 1.5, g)
         assert not w.normalized
 
     @pytest.mark.parametrize(
