@@ -1,9 +1,9 @@
 """Command-line front end.
 
-Subcommands: state (Wigner field to CSV), negativity (monotone report),
-sweep-states (mean photon vs negativity curves), distill (conditional
-protocol sweep to CSV), study (one of the STUDIES to CSVs), validate
-(self-check suite).
+Subcommands: state (Wigner field to CSV), negativity (N_L and mean photon
+number of one or more states, printed or as a curve CSV), distill
+(conditional protocol sweep to CSV), study (one of the STUDIES to CSVs),
+validate (self-check suite).
 
 Exit codes: 0 success, 1 computation or validation failure, 2 usage error.
 """
@@ -15,13 +15,14 @@ import sys
 import numpy as np
 
 from .distill import (
+    DEFAULT_TRANSMITTANCE,
     DistillationConfig,
     default_protocol_grid,
     distill_sweep,
     write_sweep_csv,
 )
 from .errors import InvalidGridError, PhaseSpaceError
-from .grids import build_grid, integrate_full, write_field_csv
+from .grids import build_grid, default_grid, integrate_full, write_field_csv
 from .monotones import fidelity_initial_analytic, log_negativity
 from .states import (
     ON,
@@ -60,70 +61,68 @@ class UsageError(ValueError):
     pass
 
 
-def _parse_fields(body: str, spec: dict, family: str) -> dict:
-    # spec maps key -> (converter, required)
+# family -> (record builder, {key: (converter, default)}); a key whose
+# default is None is required
+FAMILIES = {
+    "number": (Number, {"n": (int, None)}),
+    "on": (
+        lambda N, are, aim: ON(N=N, a=complex(are, aim)),
+        {"N": (int, None), "are": (float, 0.0), "aim": (float, 0.0)},
+    ),
+    "cubic": (
+        CubicPhase, {"gamma": (float, None), "P": (float, None), "s": (float, None)}
+    ),
+    "ideal": (IdealCubic, {"gamma": (float, None), "P": (float, None)}),
+    "pmod": (
+        PhotonMod, {"sign": (int, None), "s": (float, None), "theta": (float, 0.0)}
+    ),
+}
+
+
+def _parse_fields(body: str, keys: dict, family: str) -> dict:
     out = {}
     if body:
         for item in body.split(","):
             if "=" not in item:
                 raise SpecStringError(f"malformed item {item!r} in {family} spec")
             key, _, raw = item.partition("=")
-            if key not in spec:
+            if key not in keys:
                 raise SpecStringError(f"unknown key {key!r} for family {family!r}")
             if key in out:
                 raise SpecStringError(f"duplicate key {key!r}")
             try:
-                out[key] = spec[key][0](raw)
+                out[key] = keys[key][0](raw)
             except ValueError:
                 raise SpecStringError(f"bad value {raw!r} for key {key!r}")
-    missing = [k for k, (_, req) in spec.items() if req and k not in out]
+    missing = [k for k, (_, dflt) in keys.items() if dflt is None and k not in out]
     if missing:
         raise SpecStringError(f"family {family!r} needs keys {', '.join(missing)}")
-    return out
+    return {k: out.get(k, dflt) for k, (_, dflt) in keys.items()}
 
 
 def parse_state_spec(text: str):
     """Parse a family:key=value,... spec string into a resource-state record."""
     family, _, body = text.partition(":")
     family = family.strip().lower()
-    if family == "number":
-        kw = _parse_fields(body, {"n": (int, True)}, family)
-        return Number(n=kw["n"])
-    if family == "on":
-        kw = _parse_fields(
-            body, {"N": (int, True), "are": (float, False), "aim": (float, False)},
-            family,
-        )
-        return ON(N=kw["N"], a=complex(kw.get("are", 0.0), kw.get("aim", 0.0)))
-    if family == "cubic":
-        kw = _parse_fields(
-            body,
-            {"gamma": (float, True), "P": (float, True), "s": (float, True)},
-            family,
-        )
-        return CubicPhase(gamma=kw["gamma"], P=kw["P"], s=kw["s"])
-    if family == "ideal":
-        kw = _parse_fields(
-            body, {"gamma": (float, True), "P": (float, True)}, family
-        )
-        return IdealCubic(gamma=kw["gamma"], P=kw["P"])
-    if family == "pmod":
-        kw = _parse_fields(
-            body,
-            {"sign": (int, True), "s": (float, True), "theta": (float, False)},
-            family,
-        )
-        return PhotonMod(sign=kw["sign"], s=kw["s"], theta=kw.get("theta", 0.0))
-    raise SpecStringError(f"unknown family {family!r}")
+    if family not in FAMILIES:
+        raise SpecStringError(f"unknown family {family!r}")
+    record, keys = FAMILIES[family]
+    kw = _parse_fields(body, keys, family)
+    try:
+        return record(**kw)
+    except ValueError as exc:
+        # a value the record rejects is a spec problem too
+        raise SpecStringError(f"{text}: {exc}") from None
 
 
-def _add_grid_flags(parser):
-    # p default is taller than q: the cubic family keeps visible tail mass
-    # out to |p| ~ 30 at s = 1 and the sweep aggregates need that mass
-    parser.add_argument("--qmax", type=float, default=16.0)
-    parser.add_argument("--nq", type=int, default=1025)
-    parser.add_argument("--pmax", type=float, default=32.0)
-    parser.add_argument("--np", dest="n_p", type=int, default=2049)
+def _add_grid_flags(parser, grid):
+    # defaults are the protocol grid's extents, taller in p than in q: the
+    # cubic family keeps visible tail mass out to |p| ~ 30 at s = 1
+    q, p = grid.axes
+    parser.add_argument("--qmax", type=float, default=float(q[-1]))
+    parser.add_argument("--nq", type=int, default=q.size)
+    parser.add_argument("--pmax", type=float, default=float(p[-1]))
+    parser.add_argument("--np", dest="n_p", type=int, default=p.size)
 
 
 def _grid_from_args(args):
@@ -145,21 +144,6 @@ def _state_row(spec, grid) -> tuple:
     return mean, log_negativity(field)
 
 
-def _family_specs(family, values, N=1, gamma=GAMMA, sign=1, theta=0.0) -> list:
-    """Records of one sweep-states family; values are n, |a| or s."""
-    if family == "number":
-        return [Number(n=n) for n in values]
-    if family == "on":
-        return [ON(N=N, a=complex(mag, 0.0)) for mag in values]
-    if family == "cubic":
-        # momentum offset minimizing the mean photon number
-        return [
-            CubicPhase(gamma=gamma, P=-6.0 * gamma * np.exp(2.0 * s), s=float(s))
-            for s in values
-        ]
-    return [PhotonMod(sign=sign, s=float(s), theta=theta) for s in values]
-
-
 def _write_curve(path, grid, specs) -> None:
     rows = [_state_row(spec, grid) for spec in specs]
     with open(path, "w") as fh:
@@ -178,10 +162,10 @@ def _run_sweep(config, path) -> None:
         f"post_neg={outcome.post_neg:.6f} window=[{lo:.6f},{hi:.6f}]"
     )
     if outcome.post_fid is not None:
+        # fidelity tracking implies a cubic-phase input
+        ini_fid = fidelity_initial_analytic(config.input.s, config.s_targ)
         line += f" post_fid={outcome.post_fid:.6f}"
-        if isinstance(config.input, CubicPhase):
-            ini_fid = fidelity_initial_analytic(config.input.s, config.s_targ)
-            line += f" fid_ratio={outcome.post_fid / ini_fid:.6f}"
+        line += f" fid_ratio={outcome.post_fid / ini_fid:.6f}"
     print(f"wrote {path}  {line}")
 
 
@@ -193,35 +177,16 @@ def cmd_state(args) -> int:
 
 
 def cmd_negativity(args) -> int:
-    spec = parse_state_spec(args.spec)
-    mean, neg = _state_row(spec, _grid_from_args(args))
-    print(f"N_L = {neg:.6f}")
-    print(f"mean_photon = {mean:.6f}")
-    return 0
-
-
-def cmd_sweep_states(args) -> int:
+    # every spec is parsed before any field is computed or file written
+    specs = [parse_state_spec(text) for text in args.spec]
     grid = _grid_from_args(args)
-    if args.family == "number":
-        if args.n_max < args.n_min:
-            raise SpecStringError("empty range: n-max < n-min")
-        values = range(args.n_min, args.n_max + 1)
-    elif args.steps < 1:
-        raise SpecStringError("empty range: steps < 1")
-    elif args.family == "on":
-        if args.a_min <= 0:
-            raise SpecStringError("empty range: a-min must be positive")
-        if args.a_max < args.a_min:
-            raise SpecStringError("empty range: a-max < a-min")
-        values = np.linspace(args.a_min, args.a_max, args.steps)
-    elif args.s_max < args.s_min:
-        raise SpecStringError("empty range: s-max < s-min")
-    else:
-        values = np.linspace(args.s_min, args.s_max, args.steps)
-    specs = _family_specs(
-        args.family, values, args.N, args.gamma, args.sign, args.theta
-    )
-    _write_curve(args.out, grid, specs)
+    if args.out is not None:
+        _write_curve(args.out, grid, specs)
+        return 0
+    for spec in specs:
+        mean, neg = _state_row(spec, grid)
+        print(f"N_L = {neg:.6f}")
+        print(f"mean_photon = {mean:.6f}")
     return 0
 
 
@@ -280,16 +245,18 @@ def _effect_study():
 def _curves_study():
     # mean photon vs N_L per family; the cubic family's p-tails need the
     # taller grid
-    square = build_grid(-16.0, 16.0, 1025, -16.0, 16.0, 1025)
+    square = default_grid()
     tall = build_grid(-16.0, 16.0, 1025, -40.0, 40.0, 2561)
-    s_values = np.linspace(0.1, 1.2, 25)
-    yield "number.csv", (square, _family_specs("number", range(7)))
+    s_values = np.linspace(0.1, 1.2, 25).tolist()
+    yield "number.csv", (square, [Number(n) for n in range(7)])
     for N in (1, 2, 3):
-        specs = _family_specs("on", np.linspace(0.05, 1.0, 25), N=N)
+        specs = [ON(N, mag) for mag in np.linspace(0.05, 1.0, 25).tolist()]
         yield f"on_{N}.csv", (square, specs)
-    yield "cubic.csv", (tall, _family_specs("cubic", s_values))
-    yield "subtract.csv", (square, _family_specs("pmod", s_values, sign=-1))
-    yield "add.csv", (square, _family_specs("pmod", s_values, sign=1))
+    # the momentum offset P = -6 gamma e^{2s} minimizes the mean photon number
+    specs = [CubicPhase(GAMMA, -6.0 * GAMMA * np.exp(2.0 * s), s) for s in s_values]
+    yield "cubic.csv", (tall, specs)
+    yield "subtract.csv", (square, [PhotonMod(-1, s, 0.0) for s in s_values])
+    yield "add.csv", (square, [PhotonMod(1, s, 0.0) for s in s_values])
 
 
 # each study yields (file name, job): a DistillationConfig, or a
@@ -323,45 +290,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    grid = default_protocol_grid()
+
     p = sub.add_parser("state", help="write a resource-state Wigner field CSV")
     p.add_argument("spec", help="resource spec string, see grammar")
-    _add_grid_flags(p)
+    _add_grid_flags(p, grid)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_state)
 
-    p = sub.add_parser("negativity", help="print N_L and mean photon number")
-    p.add_argument("spec")
-    _add_grid_flags(p)
+    p = sub.add_parser(
+        "negativity",
+        help="print N_L and mean photon number, or write them as a curve CSV",
+    )
+    p.add_argument("spec", nargs="+", help="resource spec strings, see grammar")
+    _add_grid_flags(p, grid)
+    p.add_argument("--out", help="write a mean_photon,neg CSV, one row per spec")
     p.set_defaults(func=cmd_negativity)
-
-    p = sub.add_parser("sweep-states", help="mean photon vs negativity CSV")
-    p.add_argument("--family", required=True,
-                   choices=("number", "on", "cubic", "pmod"))
-    p.add_argument("--n-min", type=int, default=0)
-    p.add_argument("--n-max", type=int, default=6)
-    p.add_argument("--N", type=int, default=1)
-    p.add_argument("--a-min", type=float, default=0.1)
-    p.add_argument("--a-max", type=float, default=1.0)
-    p.add_argument("--s-min", type=float, default=0.1)
-    p.add_argument("--s-max", type=float, default=1.0)
-    p.add_argument("--steps", type=int, default=10)
-    p.add_argument("--gamma", type=float, default=GAMMA)
-    p.add_argument("--sign", type=int, default=1, choices=(1, -1))
-    p.add_argument("--theta", type=float, default=0.0)
-    _add_grid_flags(p)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_sweep_states)
 
     p = sub.add_parser("distill", help="run a conditional distillation sweep")
     p.add_argument("--gamma", type=float, default=GAMMA)
     p.add_argument("--s-ini", type=float, default=1.0)
-    p.add_argument("--t", type=float, default=0.95)
+    p.add_argument("--t", type=float, default=DEFAULT_TRANSMITTANCE)
     group = p.add_mutually_exclusive_group()
     group.add_argument("--psuc", type=float, default=None)
     group.add_argument("--window", type=float, nargs=2, default=None,
                        metavar=("LO", "HI"))
     p.add_argument("--s-targ", type=float, default=None)
-    _add_grid_flags(p)
+    _add_grid_flags(p, grid)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_distill)
 

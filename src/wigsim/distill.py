@@ -76,9 +76,9 @@ class DistillationConfig:
 
     input is either a resource-state record (realized on input_grid) or a
     ready-made normalized field. Exactly one of window / target_P_suc may be
-    given; neither means the full sampled range. s_targ (with gamma, which
-    defaults to the input's when it is a cubic-phase record) switches on
-    fidelity tracking.
+    given; neither means the full sampled range. s_targ switches on fidelity
+    tracking toward cubic-phase targets with the input's gamma, so it needs a
+    cubic-phase record as input.
     """
 
     input: object
@@ -89,7 +89,6 @@ class DistillationConfig:
     input_grid: PhaseSpaceGrid = None
     output_grid: PhaseSpaceGrid = None
     s_targ: float = None
-    gamma: float = None
 
     def __post_init__(self):
         if not 0.0 < self.t < 1.0:
@@ -274,12 +273,8 @@ def select_window(records, target_P_suc: float) -> tuple:
 
 def distill_sweep(config: DistillationConfig) -> DistillationOutcome:
     """Run the conditional protocol over every sampled outcome and aggregate."""
-    gamma = config.gamma
-    if config.s_targ is not None and gamma is None:
-        if isinstance(config.input, CubicPhase):
-            gamma = config.input.gamma
-        else:
-            raise ValueError("fidelity tracking needs gamma for non-cubic inputs")
+    if config.s_targ is not None and not isinstance(config.input, CubicPhase):
+        raise ValueError("fidelity tracking needs gamma for non-cubic inputs")
 
     if isinstance(config.input, WignerField):
         field = config.input
@@ -298,7 +293,9 @@ def distill_sweep(config: DistillationConfig) -> DistillationOutcome:
         neg = log_negativity(out_field)
         fid = None
         if config.s_targ is not None:
-            target = _cubic_target(gamma, config.s_targ, config.t, p_v, grid_out)
+            target = _cubic_target(
+                config.input.gamma, config.s_targ, config.t, p_v, grid_out
+            )
             fid = fidelity_to_pure(out_field, target)
         records.append(OutcomeRecord(p_v=p_v, density=density, neg=neg, fid=fid))
 

@@ -39,6 +39,11 @@ from .special import airy_ai, airy_ai_scaled, laguerre
 from .symplectic import omega
 
 
+def _require_finite(*values) -> None:
+    if not np.all(np.isfinite(values)):
+        raise ValueError("parameters must be finite")
+
+
 @dataclass(frozen=True)
 class Number:
     """Fock state |n>."""
@@ -61,6 +66,7 @@ class ON:
         if not isinstance(self.N, (int, np.integer)) or self.N < 1:
             raise ValueError("N must be a positive integer")
         object.__setattr__(self, "a", complex(self.a))
+        _require_finite(self.a)
 
 
 @dataclass(frozen=True)
@@ -72,6 +78,7 @@ class CubicPhase:
     s: float
 
     def __post_init__(self):
+        _require_finite(self.gamma, self.P, self.s)
         if self.s < 0:
             raise ValueError("s must be >= 0")
 
@@ -84,6 +91,7 @@ class IdealCubic:
     P: float
 
     def __post_init__(self):
+        _require_finite(self.gamma, self.P)
         if self.gamma == 0:
             raise ValueError("gamma must be nonzero")
 
@@ -99,6 +107,7 @@ class PhotonMod:
     def __post_init__(self):
         if self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
+        _require_finite(self.s, self.theta)
 
 
 @dataclass(frozen=True)
@@ -116,6 +125,7 @@ class GaussianStateParams:
         n2 = mean.size
         if cov.shape != (n2, n2):
             raise ValueError("covariance shape must match mean length")
+        _require_finite(*mean, *cov.flat)
         if np.max(np.abs(cov - cov.T)) > 1e-10:
             raise ValueError("covariance must be symmetric")
         # uncertainty relation: cov + i Omega >= 0 (symplectic eigenvalues >= 1)

@@ -33,6 +33,7 @@ from .errors import (
     DegenerateConditioningError,
     GridMismatchError,
     OutOfDomainError,
+    UnnormalizedFieldError,
 )
 from .grids import (
     TOL_NORM,
@@ -212,7 +213,7 @@ def apply_symplectic(field: WignerField, op: SymplecticOp) -> WignerField:
 def homodyne_pdf(field: WignerField, mode: int, quadrature: str) -> QuadratureDistribution:
     """Marginal density of one quadrature of one mode."""
     if not field.normalized:
-        raise ValueError("homodyne_pdf needs a normalized field")
+        raise UnnormalizedFieldError("homodyne_pdf needs a normalized field")
     if quadrature not in ("q", "p"):
         raise ValueError("quadrature must be 'q' or 'p'")
     keep = 2 * mode + (0 if quadrature == "q" else 1)
@@ -240,7 +241,9 @@ def condition_on_homodyne(
     returned alongside.
     """
     if not field.normalized:
-        raise ValueError("condition_on_homodyne needs a normalized field")
+        raise UnnormalizedFieldError(
+            "condition_on_homodyne needs a normalized field"
+        )
     if quadrature not in ("q", "p"):
         raise ValueError("quadrature must be 'q' or 'p'")
     if not 0 <= mode < field.mode_count:

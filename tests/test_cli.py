@@ -1,3 +1,4 @@
+import argparse
 import math
 import pathlib
 import re
@@ -73,6 +74,32 @@ class TestExitCodes:
         assert rc == 2
         assert "spec string grammar" in err
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "cubic:gamma=0.05,P=0,s=-1",
+            "number:n=-1",
+            "pmod:sign=2,s=0.5",
+            "ideal:gamma=0,P=0",
+            "cubic:gamma=0.05,P=0,s=nan",
+            "on:N=1,are=inf",
+        ],
+    )
+    def test_value_rejected_by_record_prints_grammar(self, capsys, spec):
+        rc, _, err = run(capsys, ["negativity", spec] + COARSE)
+        assert rc == 2
+        assert "spec string grammar" in err
+
+    def test_bad_second_spec_writes_no_file(self, capsys, tmp_path):
+        path = tmp_path / "curve.csv"
+        rc, _, err = run(
+            capsys,
+            ["negativity", "number:n=1", "number:n=abc", *COARSE, "--out", str(path)],
+        )
+        assert rc == 2
+        assert "spec string grammar" in err
+        assert not path.exists()
+
     def test_bad_transmittance_is_usage_error(self, capsys, tmp_path):
         rc, _, err = run(
             capsys,
@@ -96,7 +123,6 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
         [["state", "number:n=1", "--out", "x.csv"], ["negativity", "number:n=1"],
-         ["sweep-states", "--family", "number", "--out", "x.csv"],
          ["distill", "--out", "x.csv"]],
         ids=lambda argv: argv[0],
     )
@@ -196,7 +222,7 @@ class TestSweepStates:
         path = tmp_path / "num.csv"
         rc, out, _ = run(
             capsys,
-            ["sweep-states", "--family", "number", "--n-min", "0", "--n-max", "3",
+            ["negativity", *(f"number:n={n}" for n in range(4)),
              *self.GRID, "--out", str(path)],
         )
         assert rc == 0
@@ -210,43 +236,14 @@ class TestSweepStates:
         path = tmp_path / "pmod.csv"
         rc, _, _ = run(
             capsys,
-            ["sweep-states", "--family", "pmod", "--steps", "3",
-             "--s-min", "0.2", "--s-max", "1.0", *self.GRID, "--out", str(path)],
+            ["negativity", "pmod:sign=1,s=0.2", "pmod:sign=1,s=0.6",
+             "pmod:sign=1,s=1.0", *self.GRID, "--out", str(path)],
         )
         assert rc == 0
         negs = [neg for _, neg in self.read_rows(path)]
         # photon subtraction and addition leave the one-photon value intact
         assert all(abs(neg - 0.3544) < 5e-3 for neg in negs)
         assert max(negs) - min(negs) < 1e-3
-
-    def test_empty_number_range_rejected(self, capsys, tmp_path):
-        rc, _, err = run(
-            capsys,
-            ["sweep-states", "--family", "number", "--n-min", "3", "--n-max", "1",
-             *self.GRID, "--out", str(tmp_path / "x.csv")],
-        )
-        assert rc == 2
-        assert "empty range" in err
-
-    def test_on_family_needs_positive_amplitude(self, capsys, tmp_path):
-        rc, _, err = run(
-            capsys,
-            ["sweep-states", "--family", "on", "--a-min", "0", "--steps", "2",
-             *self.GRID, "--out", str(tmp_path / "x.csv")],
-        )
-        assert rc == 2
-        assert "a-min" in err
-
-    def test_descending_amplitude_range_rejected(self, capsys, tmp_path):
-        path = tmp_path / "x.csv"
-        rc, _, err = run(
-            capsys,
-            ["sweep-states", "--family", "on", "--a-min", "0.9", "--a-max", "0.1",
-             "--steps", "3", *self.GRID, "--out", str(path)],
-        )
-        assert rc == 2
-        assert "empty range: a-max < a-min" in err
-        assert not path.exists()
 
 
 class TestDistillCommand:
@@ -337,6 +334,18 @@ def test_readme_commands_parse():
     parser = build_parser()
     for line in lines:
         parser.parse_args(shlex.split(line)[1:])
+
+
+def test_readme_lists_every_subcommand():
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```\n(.*?)```", readme.read_text(), flags=re.S)
+    named = {
+        ln.split()[1] for b in blocks for ln in b.splitlines() if ln.startswith("wigsim ")
+    }
+    sub = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    assert named == set(sub.choices)
 
 
 def test_readme_grammar_matches_cli():

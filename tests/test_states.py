@@ -57,6 +57,23 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             PhotonMod(sign=2, s=0.5, theta=0.0)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: CubicPhase(gamma=np.inf, P=0.0, s=0.5),
+            lambda: CubicPhase(gamma=0.05, P=0.0, s=np.nan),
+            lambda: IdealCubic(gamma=np.nan, P=0.0),
+            lambda: PhotonMod(sign=1, s=np.nan, theta=0.0),
+            lambda: ON(N=1, a=np.nan),
+            lambda: ON(N=1, a=complex(0.0, np.inf)),
+            lambda: GaussianStateParams(mean=[np.nan, 0.0], cov=np.eye(2)),
+        ],
+        ids=["cubic-gamma", "cubic-s", "ideal", "pmod", "on", "on-imag", "gaussian"],
+    )
+    def test_non_finite_parameters_rejected(self, make):
+        with pytest.raises(ValueError, match="finite"):
+            make()
+
     def test_gaussian_params_rejects_asymmetric_cov(self):
         with pytest.raises(ValueError):
             GaussianStateParams(mean=np.zeros(2), cov=np.array([[1.0, 0.3], [0.0, 1.0]]))

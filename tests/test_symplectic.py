@@ -6,8 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import wigsim as ws
-from wigsim import OutOfDomainError
-from wigsim.grids import integrate_full, tensor_product
+from wigsim import OutOfDomainError, UnnormalizedFieldError
+from wigsim.grids import field_from_samples, integrate_full, tensor_product
 from wigsim.states import (
     GaussianStateParams,
     gaussian_wigner,
@@ -214,10 +214,13 @@ class TestHomodyne:
         assert np.max(np.abs(pdf.densities - ref)) < 1e-9
 
     def test_pdf_requires_normalized_field(self, grid_small):
-        from wigsim.grids import field_from_samples
-
         half = field_from_samples(grid_small, vacuum_wigner(grid_small).samples / 2)
         with pytest.raises(ValueError):
+            homodyne_pdf(half, 0, "q")
+
+    def test_pdf_unnormalized_field_error_is_typed(self, grid_small):
+        half = field_from_samples(grid_small, vacuum_wigner(grid_small).samples / 2)
+        with pytest.raises(UnnormalizedFieldError):
             homodyne_pdf(half, 0, "q")
 
     def test_pdf_rejects_bad_quadrature(self, grid_small):
@@ -247,6 +250,12 @@ class TestConditioning:
         pair = tensor_product(vacuum_wigner(grid_tiny), vacuum_wigner(grid_tiny))
         with pytest.raises(OutOfDomainError):
             condition_on_homodyne(pair, 0, "q", 9.5)
+
+    def test_unnormalized_field_rejected(self, grid_tiny):
+        pair = tensor_product(vacuum_wigner(grid_tiny), vacuum_wigner(grid_tiny))
+        half = field_from_samples(pair.grid, pair.samples / 2)
+        with pytest.raises(UnnormalizedFieldError):
+            condition_on_homodyne(half, 1, "p", 0.5)
 
     def test_single_mode_rejected(self, grid_tiny):
         with pytest.raises(ValueError):
