@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 computation or validation failure, 2 usage error.
 """
 
 import argparse
+import contextlib
 import pathlib
 import sys
 
@@ -144,8 +145,19 @@ def _state_row(spec, grid) -> tuple:
     return mean, log_negativity(field)
 
 
-def _write_curve(path, grid, specs) -> None:
-    rows = [_state_row(spec, grid) for spec in specs]
+@contextlib.contextmanager
+def _naming_overflow(text):
+    # powers of huge finite parameters raise OverflowError with a bare errno
+    # tuple as its message; name the state it came from instead
+    try:
+        yield
+    except OverflowError:
+        raise OverflowError(
+            f"{text}: overflow: a parameter is too large to evaluate this state"
+        ) from None
+
+
+def _write_curve(path, rows) -> None:
     with open(path, "w") as fh:
         fh.write("mean_photon,neg\n")
         for mean, neg in rows:
@@ -170,21 +182,34 @@ def _run_sweep(config, path) -> None:
 
 
 def cmd_state(args) -> int:
-    field = resource_wigner(parse_state_spec(args.spec), _grid_from_args(args))
+    spec = parse_state_spec(args.spec)
+    grid = _grid_from_args(args)
+    with _naming_overflow(args.spec):
+        field = resource_wigner(spec, grid)
     write_field_csv(field, args.out)
     print(f"wrote {args.out}  integral={integrate_full(field):.6f}")
     return 0
 
 
 def cmd_negativity(args) -> int:
-    # every spec is parsed before any field is computed or file written
+    # every spec is parsed and checked before any field is computed or file
+    # written
     specs = [parse_state_spec(text) for text in args.spec]
+    for text, spec in zip(args.spec, specs):
+        if isinstance(spec, IdealCubic):
+            raise UsageError(
+                f"{text}: the ideal cubic profile is not normalizable, so it has "
+                "no N_L or mean photon number; `wigsim state` writes its field"
+            )
     grid = _grid_from_args(args)
+    rows = []
+    for text, spec in zip(args.spec, specs):
+        with _naming_overflow(text):
+            rows.append(_state_row(spec, grid))
     if args.out is not None:
-        _write_curve(args.out, grid, specs)
+        _write_curve(args.out, rows)
         return 0
-    for spec in specs:
-        mean, neg = _state_row(spec, grid)
+    for mean, neg in rows:
         print(f"N_L = {neg:.6f}")
         print(f"mean_photon = {mean:.6f}")
     return 0
@@ -271,7 +296,8 @@ def cmd_study(args) -> int:
         if isinstance(job, DistillationConfig):
             _run_sweep(job, outdir / name)
         else:
-            _write_curve(outdir / name, *job)
+            grid, specs = job
+            _write_curve(outdir / name, [_state_row(spec, grid) for spec in specs])
     return 0
 
 

@@ -7,6 +7,13 @@ below the quadrature noise of any field built on top. It returns
 exp((2/3) x^{3/2}) Ai(x) for x >= 0 so callers can fold the decay into
 their own exponents and never underflow mid-product; for x < 0 the scale
 factor is 1 by convention. airy_ai applies the decay back.
+
+The series and Horner loops update their arrays in place, with the same
+floating-point operations in the same order as the out-of-place form, so
+the values are bit-identical to it. Every evaluation is pointwise: the cubic
+phase fields in states.py call it on one block of q-rows at a time (so its
+temporaries stay in cache), and their samples are bit-identical to one call
+on the whole grid.
 """
 
 from __future__ import annotations
@@ -41,20 +48,27 @@ def _series(x: np.ndarray) -> np.ndarray:
     term_f = np.ones_like(x)
     term_g = x.copy()
     for k in range(1, _SERIES_TERMS + 1):
-        term_f = term_f * t / ((3 * k) * (3 * k - 1))
-        term_g = term_g * t / ((3 * k) * (3 * k + 1))
+        term_f *= t
+        term_f /= (3 * k) * (3 * k - 1)
+        term_g *= t
+        term_g /= (3 * k) * (3 * k + 1)
         f += term_f
         g += term_g
-    return _C1 * f - _C2 * g
+    f *= _C1
+    g *= _C2
+    f -= g
+    return f
 
 
 def _asym_right(x: np.ndarray) -> np.ndarray:
     # exp((2/3) x^{3/2}) Ai(x)
     zeta = (2.0 / 3.0) * x**1.5
-    s = np.zeros_like(x)
-    for k in range(_ASYM_TERMS, -1, -1):
+    # the first step, 0 / zeta + _U[_ASYM_TERMS] (an even k), is exact
+    s = np.full_like(x, _U[_ASYM_TERMS])
+    for k in range(_ASYM_TERMS - 1, -1, -1):
         sign = -1.0 if k % 2 else 1.0
-        s = s / zeta + sign * _U[k]
+        s /= zeta
+        s += sign * _U[k]
     pref = 1.0 / (2.0 * np.sqrt(np.pi) * x**0.25)
     return pref * s
 
@@ -67,8 +81,10 @@ def _asym_left(x: np.ndarray) -> np.ndarray:
     odd = np.zeros_like(z)
     for k in range((_ASYM_TERMS // 2) - 1, -1, -1):
         sign = -1.0 if k % 2 else 1.0
-        even = even * inv2 + sign * _U[2 * k]
-        odd = odd * inv2 + sign * _U[2 * k + 1]
+        even *= inv2
+        even += sign * _U[2 * k]
+        odd *= inv2
+        odd += sign * _U[2 * k + 1]
     phase = zeta - np.pi / 4.0
     pref = 1.0 / (np.sqrt(np.pi) * z**0.25)
     return pref * (np.cos(phase) * even + np.sin(phase) * (odd / zeta))

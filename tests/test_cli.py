@@ -100,6 +100,37 @@ class TestExitCodes:
         assert "spec string grammar" in err
         assert not path.exists()
 
+    def test_ideal_profile_refused_before_any_field(self, capsys, tmp_path):
+        path = tmp_path / "curve.csv"
+        rc, _, err = run(
+            capsys,
+            ["negativity", "number:n=1", "ideal:gamma=0.05,P=0", *COARSE,
+             "--out", str(path)],
+        )
+        assert rc == 2
+        assert "not normalizable" in err and "wigsim state" in err
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["negativity", "on:N=1,are=1e200"],
+         ["negativity", "cubic:gamma=1e300,P=0,s=0"],
+         ["state", "on:N=1,are=1e200", "--out", "{out}"]],
+        ids=["negativity-on", "negativity-cubic", "state-on"],
+    )
+    def test_overflow_names_the_state(self, capsys, tmp_path, argv):
+        path = tmp_path / "w.csv"
+        argv = [arg.format(out=path) for arg in argv]
+        rc, _, err = run(
+            capsys, argv + ["--qmax", "8", "--nq", "65", "--pmax", "8", "--np", "65"]
+        )
+        assert rc == 1
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert argv[1] in lines[0] and "overflow" in lines[0]
+        assert "(34," not in lines[0]
+        assert not path.exists()
+
     def test_bad_transmittance_is_usage_error(self, capsys, tmp_path):
         rc, _, err = run(
             capsys,

@@ -42,6 +42,82 @@ def test_airy_propagates_nan():
         assert np.isnan(v[0]) and np.all(np.isfinite(v[1:]))
 
 
+# the out-of-place Airy evaluator that the in-place loops of wigsim.special
+# replaced, kept as the reference for bit-identity
+_C1 = 0.3550280538878172
+_C2 = 0.2588194037928068
+_U = np.empty(20)
+_U[0] = 1.0
+for _k in range(1, 20):
+    _U[_k] = _U[_k - 1] * (6 * _k - 5) * (6 * _k - 1) / (72.0 * _k)
+
+
+def _series_reference(x):
+    t = x**3
+    f = np.ones_like(x)
+    g = x.copy()
+    term_f = np.ones_like(x)
+    term_g = x.copy()
+    for k in range(1, 31):
+        term_f = term_f * t / ((3 * k) * (3 * k - 1))
+        term_g = term_g * t / ((3 * k) * (3 * k + 1))
+        f += term_f
+        g += term_g
+    return _C1 * f - _C2 * g
+
+
+def _asym_right_reference(x):
+    zeta = (2.0 / 3.0) * x**1.5
+    s = np.zeros_like(x)
+    for k in range(18, -1, -1):
+        sign = -1.0 if k % 2 else 1.0
+        s = s / zeta + sign * _U[k]
+    pref = 1.0 / (2.0 * np.sqrt(np.pi) * x**0.25)
+    return pref * s
+
+
+def _asym_left_reference(x):
+    z = -x
+    zeta = (2.0 / 3.0) * z**1.5
+    inv2 = 1.0 / zeta**2
+    even = np.zeros_like(z)
+    odd = np.zeros_like(z)
+    for k in range(8, -1, -1):
+        sign = -1.0 if k % 2 else 1.0
+        even = even * inv2 + sign * _U[2 * k]
+        odd = odd * inv2 + sign * _U[2 * k + 1]
+    phase = zeta - np.pi / 4.0
+    pref = 1.0 / (np.sqrt(np.pi) * z**0.25)
+    return pref * (np.cos(phase) * even + np.sin(phase) * (odd / zeta))
+
+
+def airy_ai_scaled_reference(x):
+    """airy_ai_scaled with every series and Horner step out of place."""
+    arr = np.atleast_1d(np.asarray(x, dtype=float))
+    out = np.empty_like(arr)
+    left = arr < -6.0
+    mid_pos = (arr > 0) & (arr <= 6.0)
+    right = arr > 6.0
+    mid_neg = ~(left | mid_pos | right)
+    out[left] = _asym_left_reference(arr[left])
+    out[mid_neg] = _series_reference(arr[mid_neg])
+    sub = arr[mid_pos]
+    out[mid_pos] = _series_reference(sub) * np.exp((2.0 / 3.0) * sub**1.5)
+    out[right] = _asym_right_reference(arr[right])
+    return out
+
+
+def test_in_place_airy_bit_identical_to_reference():
+    # every branch and both split points, with NaN among the values
+    x = np.concatenate(
+        [np.linspace(-40.0, 200.0, 480_001), [-6.0, 6.0, 0.0, np.nan, -0.0]]
+    )
+    ref = airy_ai_scaled_reference(x)
+    assert np.array_equal(airy_ai_scaled(x), ref, equal_nan=True)
+    decay = np.exp(-(2.0 / 3.0) * np.maximum(x, 0.0) ** 1.5)
+    assert np.array_equal(airy_ai(x), ref * decay, equal_nan=True)
+
+
 @given(st.floats(min_value=-25.0, max_value=15.0))
 def test_airy_pointwise_vs_scipy(x):
     assert abs(airy_ai(x) - scipy.special.airy(x)[0]) < 1e-9

@@ -16,7 +16,10 @@ from wigsim import (
 )
 from wigsim.grids import integrate_full, wigner_from_wavefunction
 from wigsim.monotones import log_negativity
+from wigsim.special import airy_ai
 from wigsim.states import (
+    _BLOCK_POINTS,
+    _cubic_airy_samples,
     cubic_phase_wavefunction,
     cubic_phase_wigner,
     gaussian_wigner,
@@ -214,10 +217,33 @@ class TestCubicPhase:
         st.floats(min_value=-8.0, max_value=8.0),
     )
     def test_closed_form_samples_finite(self, gamma, s, q, p):
-        from wigsim.states import _cubic_airy_samples
-
         v = _cubic_airy_samples(gamma, 0.0, s, np.array([q]), np.array([p]))
         assert np.isfinite(v).all()
+
+
+_ROWS = _BLOCK_POINTS // 1025  # q-rows per block on the 1025-point p-axis
+
+
+# (n_q, n_p): one row per block on a p-axis wider than a block, then a
+# partial, an exact, an overfull single block and many blocks
+@pytest.mark.parametrize(
+    "n_q,n_p",
+    [(3, _BLOCK_POINTS + 1), (_ROWS - 1, 1025), (_ROWS, 1025), (_ROWS + 1, 1025),
+     (641, 1025)],
+)
+def test_block_fill_equals_pointwise_closed_form(n_q, n_p):
+    grid = ws.build_grid(-20, 20, n_q, -64, 64, n_p)
+    q, p = grid.open_mesh()
+    for gamma in (0.05, -0.1):
+        for P in (0.0, -0.3):
+            for s in (0.0, 1.0, 4.0):
+                field = cubic_phase_wigner(gamma, P, s, grid)
+                ref = _cubic_airy_samples(gamma, P, s, q, p)
+                assert np.array_equal(field.samples, ref)
+            ideal = ideal_cubic_wigner(gamma, P, grid)
+            scale = np.cbrt(4.0 / (3.0 * gamma))
+            ref = airy_ai(scale * (3.0 * gamma * q * q - (p - P) / 2.0))
+            assert np.array_equal(ideal.samples, ref)
 
 
 class TestIdealCubic:
