@@ -42,14 +42,12 @@ from .states import (
     CubicPhase,
     Gaussian,
     GaussianStateParams,
-    IdealCubic,
     Number,
     PhotonMod,
     ResourceStateSpec,
     cubic_phase_wavefunction,
     cubic_phase_wigner,
     gaussian_wigner,
-    ideal_cubic_wigner,
     mean_photon_analytic,
     mean_photon_numeric,
     number_state_wigner,

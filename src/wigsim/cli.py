@@ -28,7 +28,6 @@ from .monotones import fidelity_initial_analytic, log_negativity
 from .states import (
     ON,
     CubicPhase,
-    IdealCubic,
     Number,
     PhotonMod,
     mean_photon_analytic,
@@ -43,7 +42,6 @@ spec string grammar: family:key=value,key=value,...
   number:n=<int>
   on:N=<int>,are=<real>,aim=<real>      a = are + i*aim, both default 0
   cubic:gamma=<real>,P=<real>,s=<real>
-  ideal:gamma=<real>,P=<real>
   pmod:sign=<1|-1>,s=<real>,theta=<real>
 examples:
   number:n=1
@@ -73,7 +71,6 @@ FAMILIES = {
     "cubic": (
         CubicPhase, {"gamma": (float, None), "P": (float, None), "s": (float, None)}
     ),
-    "ideal": (IdealCubic, {"gamma": (float, None), "P": (float, None)}),
     "pmod": (
         PhotonMod, {"sign": (int, None), "s": (float, None), "theta": (float, 0.0)}
     ),
@@ -195,12 +192,6 @@ def cmd_negativity(args) -> int:
     # every spec is parsed and checked before any field is computed or file
     # written
     specs = [parse_state_spec(text) for text in args.spec]
-    for text, spec in zip(args.spec, specs):
-        if isinstance(spec, IdealCubic):
-            raise UsageError(
-                f"{text}: the ideal cubic profile is not normalizable, so it has "
-                "no N_L or mean photon number; `wigsim state` writes its field"
-            )
     grid = _grid_from_args(args)
     rows = []
     for text, spec in zip(args.spec, specs):
@@ -229,7 +220,6 @@ def cmd_distill(args) -> int:
             target_P_suc=target,
             s_targ=args.s_targ,
             input_grid=grid,
-            output_grid=grid,
         )
     except ValueError as exc:
         raise UsageError(str(exc))
@@ -244,7 +234,7 @@ def _bound_study():
         for s in (0.2, 0.6, 1.0):
             yield f"bound_t{t}_s{s}.csv", DistillationConfig(
                 input=CubicPhase(GAMMA, 0.0, s), t=t, target_P_suc=1.0,
-                input_grid=grid, output_grid=grid,
+                input_grid=grid,
             )
 
 
@@ -263,7 +253,7 @@ def _effect_study():
         grid = build_grid(-qm, qm, nq, -pm, pm, n_p)
         yield f"effect_s{s}.csv", DistillationConfig(
             input=CubicPhase(GAMMA, 0.0, s), t=0.99, p_v_samples=p_v,
-            target_P_suc=0.01, s_targ=4.0, input_grid=grid, output_grid=grid,
+            target_P_suc=0.01, s_targ=4.0, input_grid=grid,
         )
 
 

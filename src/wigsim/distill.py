@@ -9,19 +9,24 @@ unnormalized output field is
 
 with p' = sqrt(t) p - sqrt(1-t) p_v and
 G(p) = exp(-(sqrt(t) p_v + sqrt(1-t) p)^2 / 2), obtained from the joint
-post-beam-splitter field by substituting w for the ancilla position. The
-Gaussian w-kernel does not depend on p_v, and interpolating W_in at p' is
-linear in its columns, so the two commute: a sweep over outcomes blurs the
-input once (one matrix product per sweep) and pays only a column
-interpolation per outcome. The outcome density is the integral of raw;
-dividing by it normalizes the conditional state.
+post-beam-splitter field by substituting w for the ancilla position.
+
+Each outcome's field lives on its own lattice: the input q-axis, and the
+image of the input p-axis, p_j = (p_in,j + sqrt(1-t) p_v) / sqrt(t), on
+which p' lands exactly on the input columns. The Gaussian w-kernel does not
+depend on p_v, so a sweep blurs the input once (one matrix product,
+B = K @ W_in) and each outcome is raw = B * G(p_j), column for column, with
+nothing interpolated. The outcome density is the integral of raw; dividing
+by it normalizes the conditional state.
 
 Postselection keeps a contiguous outcome window [p-, p+]. Over a window,
 P_suc integrates the density, avg_neg integrates density * negativity, and
 post_neg = avg_neg / P_suc; likewise for fidelity when a cubic-phase target
 is tracked. The tracked target for outcome p_v is the cubic-phase state
 shifted to P' = sqrt((1-t)/t) * p_v, which is where the ancilla kick moves
-the state's momentum.
+the state's momentum. That is the same shift as the outcome's lattice, so
+on every outcome's lattice the target has the same samples, those of the
+unshifted target at (q_in, p_in / sqrt(t)), and a sweep builds it once.
 """
 
 from __future__ import annotations
@@ -78,7 +83,9 @@ class DistillationConfig:
     ready-made normalized field. Exactly one of window / target_P_suc may be
     given; neither means the full sampled range. s_targ switches on fidelity
     tracking toward cubic-phase targets with the input's gamma, so it needs a
-    cubic-phase record as input.
+    cubic-phase record as input. Each outcome's field lives on its own
+    lattice over the input grid, so output_grid is either None or the input
+    grid itself; the sweep refuses any other grid.
     """
 
     input: object
@@ -139,15 +146,15 @@ class DistillationOutcome:
 
 
 class _Conditional:
-    """The conditional protocol for one input field, t and output grid.
+    """The conditional protocol for one input field and transmittance.
 
-    K @ interp_p(W) == interp_p(K @ W), so the blurred input B = K @ W (K the
-    Gaussian w-kernel with trapezoid weights) is built once; each outcome
-    gathers two columns of B per output p, with weights that fold in G(p)
-    and zero p' off the input grid.
+    The blurred input B = K @ W (K the Gaussian w-kernel with trapezoid
+    weights) is built once. Outcome p_v's field lives on its own lattice,
+    the input q-axis by the image p_j of the input p-axis, where p' is the
+    input's own p_j, so raw = B * G(p_j) with nothing gathered or clipped.
     """
 
-    def __init__(self, field: WignerField, t: float, grid_out: PhaseSpaceGrid):
+    def __init__(self, field: WignerField, t: float):
         if field.mode_count != 1:
             raise GridMismatchError("distillation input must be single-mode")
         if not field.normalized:
@@ -156,61 +163,33 @@ class _Conditional:
             raise ValueError("transmittance must lie strictly inside (0, 1)")
         rt, rr = np.sqrt(t), np.sqrt(1.0 - t)
         self._rt, self._rr = rt, rr
-        q_in, self._p_in = field.grid.axes
-        diff = grid_out.axes[0][:, None] - rt * q_in[None, :]
+        self._q, self._p_in = field.grid.axes
+        diff = self._q[:, None] - rt * self._q[None, :]
         kernel = np.exp(-diff * diff / (2.0 * (1.0 - t))) / (2.0 * np.pi * rr)
-        kernel *= trapezoid_weights(q_in)[None, :]
+        kernel *= trapezoid_weights(self._q)[None, :]
         self._blurred = kernel @ field.samples
-        self._grid_out = grid_out
 
     def __call__(self, p_v: float) -> tuple:
         """Normalized output field and outcome density for outcome p_v."""
-        p_in = self._p_in
-        p_out = self._grid_out.axes[1]
         rt, rr = self._rt, self._rr
-
-        p_prime = rt * p_out - rr * p_v
-        step = (p_in[-1] - p_in[0]) / (p_in.size - 1)
-        f = (p_prime - p_in[0]) / step
-        inside = (f >= 0.0) & (f <= p_in.size - 1)
-        i0 = np.clip(np.floor(f).astype(np.int64), 0, p_in.size - 2)
-        frac = np.clip(f - i0, 0.0, 1.0)
-        g_p = np.exp(-0.5 * (rt * p_v + rr * p_out) ** 2) * inside
-
-        raw = np.take(self._blurred, i0, axis=1)
-        raw *= (1.0 - frac) * g_p
-        upper = np.take(self._blurred, i0 + 1, axis=1)
-        upper *= frac * g_p
-        raw += upper
-        del upper  # free it before the density integral allocates
-
-        density = integrate_samples(raw, self._grid_out.axes)
+        p_out = (self._p_in + rr * p_v) / rt
+        grid = PhaseSpaceGrid(axes=(self._q, p_out))
+        raw = self._blurred * np.exp(-0.5 * (rt * p_v + rr * p_out) ** 2)
+        density = integrate_samples(raw, grid.axes)
         if density < EPS_COND:
             raise DegenerateConditioningError(
                 f"outcome density {density:.3e} at p_v={p_v:.3f} "
                 f"below {EPS_COND:.0e}"
             )
         raw /= density
-        field = WignerField(grid=self._grid_out, samples=raw, normalized=True)
+        raw.setflags(write=False)  # handed over, so the field keeps it uncopied
+        field = WignerField(grid=grid, samples=raw, normalized=True)
         return field, float(density)
 
 
-def distill_conditional(
-    field: WignerField,
-    t: float,
-    p_v: float,
-    output_grid: PhaseSpaceGrid = None,
-) -> tuple:
-    """Conditional output state and outcome density for one p_v."""
-    grid_out = field.grid if output_grid is None else output_grid
-    return _Conditional(field, t, grid_out)(p_v)
-
-
-def _cubic_target(
-    gamma: float, s_targ: float, t: float, p_v: float, grid: PhaseSpaceGrid
-) -> WignerField:
-    shift = np.sqrt((1.0 - t) / t) * p_v
-    return cubic_phase_wigner(gamma, shift, s_targ, grid)
+def distill_conditional(field: WignerField, t: float, p_v: float) -> tuple:
+    """Conditional output state (on outcome p_v's lattice) and outcome density."""
+    return _Conditional(field, t)(p_v)
 
 
 def _segment_integral(xs, ys, lo, hi) -> float:
@@ -277,26 +256,45 @@ def distill_sweep(config: DistillationConfig) -> DistillationOutcome:
         raise ValueError("fidelity tracking needs gamma for non-cubic inputs")
 
     if isinstance(config.input, WignerField):
-        field = config.input
+        grid_in = config.input.grid
     else:
         grid_in = (
             default_protocol_grid() if config.input_grid is None else config.input_grid
         )
-        field = resource_wigner(config.input, grid_in)
-    grid_out = field.grid if config.output_grid is None else config.output_grid
-    conditional = _Conditional(field, config.t, grid_out)
+    if config.output_grid is not None and config.output_grid != grid_in:
+        raise GridMismatchError(
+            "each outcome has its own lattice over the input grid; "
+            "output_grid may only repeat the input grid"
+        )
+    field = (
+        config.input
+        if isinstance(config.input, WignerField)
+        else resource_wigner(config.input, grid_in)
+    )
+    conditional = _Conditional(field, config.t)
     ini_neg = log_negativity(field)
+
+    target = None
+    if config.s_targ is not None:
+        # the target shifted to P' = sqrt((1-t)/t) p_v, on outcome p_v's
+        # lattice, is the unshifted target at (q_in, p_in / sqrt(t))
+        q_in, p_in = grid_in.axes
+        target = cubic_phase_wigner(
+            config.input.gamma, 0.0, config.s_targ,
+            PhaseSpaceGrid(axes=(q_in, p_in / np.sqrt(config.t))),
+        )
 
     records = []
     for p_v in config.p_v_samples.tolist():
         out_field, density = conditional(p_v)
         neg = log_negativity(out_field)
         fid = None
-        if config.s_targ is not None:
-            target = _cubic_target(
-                config.input.gamma, config.s_targ, config.t, p_v, grid_out
+        if target is not None:
+            on_lattice = WignerField(
+                grid=out_field.grid, samples=target.samples,
+                normalized=target.normalized,
             )
-            fid = fidelity_to_pure(out_field, target)
+            fid = fidelity_to_pure(out_field, on_lattice)
         records.append(OutcomeRecord(p_v=p_v, density=density, neg=neg, fid=fid))
 
     xs = config.p_v_samples

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import GridMismatchError, UndefinedStateError, UnnormalizedFieldError
 from .grids import PhaseSpaceGrid, WignerField, field_from_samples, integrate_samples
-from .special import airy_ai, airy_ai_scaled, laguerre
+from .special import airy_ai_scaled, laguerre
 from .symplectic import omega
 
 
@@ -81,19 +81,6 @@ class CubicPhase:
         _require_finite(self.gamma, self.P, self.s)
         if self.s < 0:
             raise ValueError("s must be >= 0")
-
-
-@dataclass(frozen=True)
-class IdealCubic:
-    """Infinite-squeezing cubic phase profile; not normalizable."""
-
-    gamma: float
-    P: float
-
-    def __post_init__(self):
-        _require_finite(self.gamma, self.P)
-        if self.gamma == 0:
-            raise ValueError("gamma must be nonzero")
 
 
 @dataclass(frozen=True)
@@ -154,7 +141,7 @@ class Gaussian:
             raise ValueError("params must be GaussianStateParams")
 
 
-ResourceStateSpec = Union[Number, ON, CubicPhase, IdealCubic, PhotonMod, Gaussian]
+ResourceStateSpec = Union[Number, ON, CubicPhase, PhotonMod, Gaussian]
 
 
 def rotated_squeezed_cov(s: float, theta: float) -> np.ndarray:
@@ -316,24 +303,6 @@ def cubic_phase_wigner(
     return field_from_samples(grid, samples)
 
 
-def ideal_cubic_wigner(gamma: float, P: float, grid: PhaseSpaceGrid) -> WignerField:
-    """Infinite-squeezing profile W ~ Ai((4/(3 gamma))^{1/3} (3 gamma q^2 - (p-P)/2)).
-
-    Not normalizable; the returned field is flagged accordingly and must not
-    enter monotone computations. Filled in blocks of q-rows like
-    cubic_phase_wigner, bit-identical to the profile on the whole open mesh.
-    """
-    if gamma == 0:
-        raise ValueError("gamma must be nonzero")
-    if grid.mode_count != 1:
-        raise GridMismatchError("ideal_cubic_wigner is single-mode")
-    scale = np.cbrt(4.0 / (3.0 * gamma))
-    w = _fill_by_rows(
-        grid, lambda q, p: airy_ai(scale * (3.0 * gamma * q * q - (p - P) / 2.0))
-    )
-    return WignerField(grid=grid, samples=w, normalized=False)
-
-
 def photon_mod_wigner(
     sign: int, s: float, theta: float, grid: PhaseSpaceGrid
 ) -> WignerField:
@@ -402,8 +371,6 @@ def resource_wigner(spec: ResourceStateSpec, grid: PhaseSpaceGrid) -> WignerFiel
         return on_state_wigner(spec.N, spec.a, grid)
     if isinstance(spec, CubicPhase):
         return cubic_phase_wigner(spec.gamma, spec.P, spec.s, grid)
-    if isinstance(spec, IdealCubic):
-        return ideal_cubic_wigner(spec.gamma, spec.P, grid)
     if isinstance(spec, PhotonMod):
         return photon_mod_wigner(spec.sign, spec.s, spec.theta, grid)
     if isinstance(spec, Gaussian):

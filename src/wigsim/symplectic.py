@@ -49,6 +49,9 @@ EPS_COND = 1e-10
 
 _SYMPLECTIC_TOL = 1e-10
 
+# elements of the samples gathered per corner at once in _resample_block
+_CHUNK_ELEMENTS = 2**16
+
 
 def omega(modes: int) -> np.ndarray:
     """Symplectic form, block-diagonal [[0, 1], [-1, 0]] per mode."""
@@ -170,16 +173,20 @@ def _resample_block(
 
     lead = tuple(range(len(block)))
     moved = np.moveaxis(samples, block, lead)
-    rows = moved.reshape(m, -1)
-    out = np.zeros(rows.shape)
+    out = np.zeros((m,) + moved.shape[len(block):])
+    # corners are gathered straight from the view, a chunk of output points
+    # at a time, so no full-size copy or gather of the samples is made
+    chunk = max(1, _CHUNK_ELEMENTS // (samples.size // m))
     for corner in product((0, 1), repeat=len(block)):
         w = inside.astype(float)
         for j, bit in enumerate(corner):
             w *= frac[j] if bit else 1.0 - frac[j]
         corner_idx = [i + bit for i, bit in zip(idx, corner)]
-        gathered = rows[np.ravel_multi_index(corner_idx, moved.shape[: len(block)])]
-        gathered *= w[:, None]
-        out += gathered
+        for start in range(0, m, chunk):
+            sl = slice(start, start + chunk)
+            gathered = moved[tuple(ci[sl] for ci in corner_idx)]
+            gathered *= w[sl].reshape((-1,) + (1,) * (gathered.ndim - 1))
+            out[sl] += gathered
     return np.moveaxis(out.reshape(moved.shape), lead, block)
 
 
@@ -207,6 +214,7 @@ def apply_symplectic(field: WignerField, op: SymplecticOp) -> WignerField:
             f"transformed support leaves the grid: integral {before:.6f} -> {after:.6f}"
         )
     normalized = abs(after - 1.0) <= TOL_NORM
+    vals.setflags(write=False)  # handed over, so the field keeps it uncopied
     return WignerField(grid=grid, samples=vals, normalized=normalized)
 
 

@@ -204,7 +204,6 @@ def test_criterion_06_selective_average_bound():
                     input=CubicPhase(GAMMA, 0.0, s),
                     t=t,
                     input_grid=grid,
-                    output_grid=grid,
                     target_P_suc=1.0,
                 )
             )
@@ -233,7 +232,6 @@ def test_criterion_07_distillation_gain_leg():
             t=0.99,
             p_v_samples=p_v,
             input_grid=grid,
-            output_grid=grid,
             target_P_suc=0.01,
             s_targ=4.0,
         )
@@ -265,7 +263,6 @@ def test_criterion_07_saturation_leg():
             t=0.99,
             p_v_samples=p_v,
             input_grid=grid,
-            output_grid=grid,
             target_P_suc=0.01,
             s_targ=4.0,
         )
@@ -292,7 +289,6 @@ def test_criterion_08_negativity_monotone_in_outcome(s):
             t=0.99,
             p_v_samples=np.linspace(-3.0, 6.0, 61),
             input_grid=grid,
-            output_grid=grid,
         )
     )
     negs = np.array([r.neg for r in out.records])

@@ -11,7 +11,7 @@ from wigsim import cli
 from wigsim.cli import build_parser, main, parse_state_spec
 from wigsim.distill import DistillationConfig
 from wigsim.grids import build_grid, read_field_csv
-from wigsim.states import ON, CubicPhase, IdealCubic, Number, PhotonMod
+from wigsim.states import ON, CubicPhase, Number, PhotonMod
 
 COARSE = ["--qmax", "10", "--nq", "129", "--pmax", "16", "--np", "257"]
 
@@ -35,9 +35,6 @@ class TestSpecParsing:
         assert parse_state_spec("on:N=3,are=0.1,aim=0.2") == ON(N=3, a=0.1 + 0.2j)
         assert parse_state_spec("cubic:gamma=0.05,P=0,s=1") == CubicPhase(
             gamma=0.05, P=0.0, s=1.0
-        )
-        assert parse_state_spec("ideal:gamma=0.1,P=0.5") == IdealCubic(
-            gamma=0.1, P=0.5
         )
         assert parse_state_spec("pmod:sign=-1,s=0.5") == PhotonMod(
             sign=-1, s=0.5, theta=0.0
@@ -80,7 +77,6 @@ class TestExitCodes:
             "cubic:gamma=0.05,P=0,s=-1",
             "number:n=-1",
             "pmod:sign=2,s=0.5",
-            "ideal:gamma=0,P=0",
             "cubic:gamma=0.05,P=0,s=nan",
             "on:N=1,are=inf",
         ],
@@ -98,17 +94,6 @@ class TestExitCodes:
         )
         assert rc == 2
         assert "spec string grammar" in err
-        assert not path.exists()
-
-    def test_ideal_profile_refused_before_any_field(self, capsys, tmp_path):
-        path = tmp_path / "curve.csv"
-        rc, _, err = run(
-            capsys,
-            ["negativity", "number:n=1", "ideal:gamma=0.05,P=0", *COARSE,
-             "--out", str(path)],
-        )
-        assert rc == 2
-        assert "not normalizable" in err and "wigsim state" in err
         assert not path.exists()
 
     @pytest.mark.parametrize(
@@ -330,7 +315,7 @@ class TestStudy:
             yield "sweep.csv", DistillationConfig(
                 input=CubicPhase(0.05, 0.0, 0.3), t=0.9,
                 p_v_samples=np.linspace(-3.0, 3.0, 9), target_P_suc=1.0,
-                s_targ=4.0, input_grid=grid, output_grid=grid,
+                s_targ=4.0, input_grid=grid,
             )
             yield "curve.csv", (grid, [Number(0), Number(1)])
 
@@ -382,6 +367,7 @@ def test_readme_lists_every_subcommand():
 def test_readme_grammar_matches_cli():
     readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
     blocks = re.findall(r"```\n(.*?)```", readme.read_text(), flags=re.S)
-    # the five family rules of the grammar, without their two-space indent
-    rules = "".join(ln[2:] + "\n" for ln in cli.GRAMMAR.splitlines()[1:6])
+    # the family rules of the grammar, without their two-space indent
+    family_rules = cli.GRAMMAR.split("examples:")[0].splitlines()[1:]
+    rules = "".join(ln[2:] + "\n" for ln in family_rules)
     assert rules in blocks

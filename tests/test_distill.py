@@ -6,8 +6,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import wigsim as ws
+from wigsim import distill
 from wigsim.distill import (
     DistillationConfig,
+    _Conditional,
     _segment_integral,
     OutcomeRecord,
     default_protocol_grid,
@@ -78,7 +80,7 @@ class TestConditional:
         vac = vacuum_wigner(g)
         out, dens = distill_conditional(vac, 0.7, 0.9)
         assert abs(dens - np.exp(-0.81 / 2.0) / np.sqrt(2.0 * np.pi)) < 2e-5
-        assert np.max(np.abs(out.samples - vac.samples)) < 3e-4
+        assert np.max(np.abs(out.samples - vacuum_wigner(out.grid).samples)) < 3e-4
 
     def test_requires_single_mode(self, grid_tiny):
         pair = tensor_product(vacuum_wigner(grid_tiny), vacuum_wigner(grid_tiny))
@@ -93,50 +95,55 @@ class TestConditional:
             distill_conditional(half, 0.9, 0.0)
 
     def test_matches_plain_numpy_formula(self):
-        # the module docstring's formula in its written order: interpolate W
-        # at p' (zero off the input grid), blur in q with trapezoid weights,
-        # multiply by G(p); the output grid differs from the input grid in q
-        # count and extent, and its p-range reaches past the input's
+        # the module docstring's formula in its written order on the image
+        # lattice p_j = (p_in,j + sqrt(1-t) p_v) / sqrt(t): W at p' (which is
+        # p_in, so np.interp returns the input's own columns), blur in q with
+        # trapezoid weights, multiply by G(p_j)
         g_in = ws.build_grid(-6, 6, 97, -5, 5, 81)
-        g_out = ws.build_grid(-5, 5, 73, -9, 9, 121)
         q_in, p_in = g_in.axes
-        q_out, p_out = g_out.axes
         # broad in p, so W is far from zero at the input's p edges
         broad_p = GaussianStateParams(np.zeros(2), np.diag([0.5, 8.0]))
         w_in = ws.renormalize(gaussian_wigner(broad_p, g_in))
         t, p_v = 0.6, 1.5
         rt, rr = np.sqrt(t), np.sqrt(1.0 - t)
 
+        p_out = (p_in + rr * p_v) / rt
         p_prime = rt * p_out - rr * p_v
-        assert p_prime.min() < p_in[0]
-        w_p = np.array(
-            [np.interp(p_prime, p_in, row, left=0.0, right=0.0) for row in w_in.samples]
-        )
+        w_p = np.array([np.interp(p_prime, p_in, row) for row in w_in.samples])
         dq = q_in[1] - q_in[0]
         trap = np.full(q_in.size, dq)
         trap[[0, -1]] = dq / 2.0
-        diff = q_out[:, None] - rt * q_in[None, :]
+        diff = q_in[:, None] - rt * q_in[None, :]
         kernel = np.exp(-diff * diff / (2.0 * (1.0 - t)))
         kernel *= trap / (2.0 * np.pi * rr)
         g_p = np.exp(-0.5 * (rt * p_v + rr * p_out) ** 2)
         raw = (kernel @ w_p) * g_p
-        density = np.trapezoid(np.trapezoid(raw, p_out, axis=1), q_out)
-
-        # the off-grid zeroing changes the answer by far more than the tolerance
+        density = np.trapezoid(np.trapezoid(raw, p_out, axis=1), q_in)
         scale = np.max(np.abs(raw))
-        w_edge = np.array([np.interp(p_prime, p_in, row) for row in w_in.samples])
-        assert np.max(np.abs((kernel @ w_edge) * g_p - raw)) > 1e-3 * scale
 
-        out, dens = distill_conditional(w_in, t, p_v, output_grid=g_out)
-        assert out.grid is g_out
+        out, dens = distill_conditional(w_in, t, p_v)
+        assert np.array_equal(out.grid.axes[0], q_in)
+        assert np.array_equal(out.grid.axes[1], p_out)
         assert abs(dens - density) <= 1e-12 * density
         assert np.max(np.abs(out.samples * dens - raw)) <= 1e-12 * scale
+
+    def test_holds_no_interpolation_arrays(self):
+        # the conditional keeps the blurred input and the input axes only:
+        # no gather indices, interpolation weights or off-grid masks
+        g = ws.build_grid(-6, 6, 49, -5, 5, 41)
+        cond = _Conditional(vacuum_wigner(g), 0.9)
+        arrays = {k: v for k, v in vars(cond).items() if isinstance(v, np.ndarray)}
+        assert sorted(v.shape for v in arrays.values()) == [(41,), (49,), (49, 41)]
+        assert all(v.dtype == np.float64 for v in arrays.values())
 
     def test_matches_generic_two_mode_route(self, grid_tiny):
         # independent evaluation: tensor with vacuum, apply the beam
         # splitter by interpolation, slice on the measured value; agreement
         # is limited by the 61-point multilinear interpolation and halves
-        # on refinement
+        # on refinement. The comparison is on the generic route's grid: the
+        # conditional's output, on its own p-lattice, is carried there by
+        # the same linear rule in p (on the lattice itself the generic
+        # route alone is 2.7e-3 off at 61 points)
         w_in = ws.renormalize(
             ws.cubic_phase_wigner(0.05, 0.0, 0.3, grid_tiny)
         )
@@ -144,9 +151,29 @@ class TestConditional:
         t, p_v = 0.9, -0.8
         mixed = apply_symplectic(tensor_product(w_in, vac), sym_beamsplitter(t))
         cond, dens = condition_on_homodyne(mixed, 1, "p", p_v)
-        fast, dens_fast = distill_conditional(w_in, t, p_v, output_grid=grid_tiny)
+        fast, dens_fast = distill_conditional(w_in, t, p_v)
+        p_fast, p_shared = fast.grid.axes[1], cond.grid.axes[1]
+        shared = np.array([np.interp(p_shared, p_fast, row) for row in fast.samples])
         assert abs(dens - dens_fast) / dens_fast < 6e-3
-        assert np.max(np.abs(cond.samples - fast.samples)) < 2.5e-3
+        assert np.max(np.abs(cond.samples - shared)) < 2.5e-3
+
+    def test_pure_state_oracle_on_criterion_07_grid(self, conditional_reference):
+        # two outcomes of criterion 07's gain leg against the wavefunction
+        # route of conftest; N_L's trapezoid error on this lattice is 4.5e-6
+        # at p_v = -3 and 1.5e-5 at -2.2 (the library converges to the
+        # reference on 2561 x 4097 and 1921 x 6145 points)
+        grid = ws.build_grid(-20, 20, 1281, -64, 64, 2049)
+        out = distill_sweep(
+            DistillationConfig(
+                input=CubicPhase(0.05, 0.0, 1.0), t=0.99,
+                p_v_samples=np.array([-3.0, -2.2]), input_grid=grid, s_targ=4.0,
+            )
+        )
+        for rec in out.records:
+            density, neg, fid = conditional_reference(0.05, 1.0, 0.99, rec.p_v, 4.0)
+            assert abs(rec.density - density) <= 1e-5 * density
+            assert abs(rec.fid - fid) <= 1e-5
+            assert abs(rec.neg - neg) <= 2e-5
 
 
 class TestSelectWindow:
@@ -301,7 +328,6 @@ def small_config():
         t=0.9,
         p_v_samples=np.linspace(-4, 4, 33),
         input_grid=g,
-        output_grid=g,
         target_P_suc=1.0,
     )
 
@@ -341,10 +367,47 @@ class TestSweep:
         grid = ws.build_grid(-3, 3, 65, -3, 3, 65)
         config = DistillationConfig(
             input=CubicPhase(0.05, 0.0, 1.5), t=0.9, target_P_suc=1.0,
-            input_grid=grid, output_grid=grid,
+            input_grid=grid,
         )
         with pytest.raises(ws.UnnormalizedFieldError):
             distill_sweep(config)
+
+    def test_fidelity_target_built_once_per_sweep(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return ws.cubic_phase_wigner(*args)
+
+        monkeypatch.setattr(distill, "cubic_phase_wigner", counted)
+        grid = ws.build_grid(-10, 10, 129, -16, 16, 257)
+        out = distill_sweep(
+            DistillationConfig(
+                input=CubicPhase(0.05, 0.0, 0.5), t=0.95,
+                p_v_samples=np.linspace(-3, 3, 7), input_grid=grid, s_targ=4.0,
+            )
+        )
+        assert len(calls) == 1
+        assert all(0.0 < r.fid <= 1.0 for r in out.records)
+
+    def test_output_grid_must_be_the_input_grid(self, monkeypatch, grid_small):
+        vac = vacuum_wigner(grid_small)
+        equal = ws.build_grid(-8, 8, 161, -8, 8, 161)
+        same = distill_sweep(
+            DistillationConfig(input=vac, t=0.9, p_v_samples=np.linspace(-2, 2, 5),
+                               output_grid=equal)
+        )
+        assert same.P_suc > 0.0
+
+        def no_outcome(*args):
+            raise AssertionError("an outcome was computed")
+
+        monkeypatch.setattr(distill, "_Conditional", no_outcome)
+        for grid in (ws.build_grid(-8, 8, 161, -9, 9, 161),
+                     ws.build_grid(-8, 8, 161, -8, 8, 163)):
+            config = DistillationConfig(input=vac, t=0.9, output_grid=grid)
+            with pytest.raises(ws.GridMismatchError):
+                distill_sweep(config)
 
     def test_csv_deterministic(self, small_sweep, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"

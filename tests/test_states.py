@@ -9,21 +9,18 @@ from wigsim import (
     CubicPhase,
     Gaussian,
     GaussianStateParams,
-    IdealCubic,
     Number,
     PhotonMod,
     UndefinedStateError,
 )
 from wigsim.grids import integrate_full, wigner_from_wavefunction
 from wigsim.monotones import log_negativity
-from wigsim.special import airy_ai
 from wigsim.states import (
     _BLOCK_POINTS,
     _cubic_airy_samples,
     cubic_phase_wavefunction,
     cubic_phase_wigner,
     gaussian_wigner,
-    ideal_cubic_wigner,
     mean_photon_analytic,
     mean_photon_numeric,
     number_state_wigner,
@@ -52,10 +49,6 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             CubicPhase(gamma=0.05, P=0.0, s=-0.1)
 
-    def test_ideal_cubic_rejects_zero_gamma(self):
-        with pytest.raises(ValueError):
-            IdealCubic(gamma=0.0, P=0.0)
-
     def test_photon_mod_rejects_bad_sign(self):
         with pytest.raises(ValueError):
             PhotonMod(sign=2, s=0.5, theta=0.0)
@@ -65,13 +58,12 @@ class TestSpecValidation:
         [
             lambda: CubicPhase(gamma=np.inf, P=0.0, s=0.5),
             lambda: CubicPhase(gamma=0.05, P=0.0, s=np.nan),
-            lambda: IdealCubic(gamma=np.nan, P=0.0),
             lambda: PhotonMod(sign=1, s=np.nan, theta=0.0),
             lambda: ON(N=1, a=np.nan),
             lambda: ON(N=1, a=complex(0.0, np.inf)),
             lambda: GaussianStateParams(mean=[np.nan, 0.0], cov=np.eye(2)),
         ],
-        ids=["cubic-gamma", "cubic-s", "ideal", "pmod", "on", "on-imag", "gaussian"],
+        ids=["cubic-gamma", "cubic-s", "pmod", "on", "on-imag", "gaussian"],
     )
     def test_non_finite_parameters_rejected(self, make):
         with pytest.raises(ValueError, match="finite"):
@@ -240,22 +232,6 @@ def test_block_fill_equals_pointwise_closed_form(n_q, n_p):
                 field = cubic_phase_wigner(gamma, P, s, grid)
                 ref = _cubic_airy_samples(gamma, P, s, q, p)
                 assert np.array_equal(field.samples, ref)
-            ideal = ideal_cubic_wigner(gamma, P, grid)
-            scale = np.cbrt(4.0 / (3.0 * gamma))
-            ref = airy_ai(scale * (3.0 * gamma * q * q - (p - P) / 2.0))
-            assert np.array_equal(ideal.samples, ref)
-
-
-class TestIdealCubic:
-    def test_flagged_unnormalized(self, grid_small):
-        w = ideal_cubic_wigner(0.1, 0.0, grid_small)
-        assert not w.normalized
-
-    def test_p_independent_of_q_sign(self, grid_small):
-        # q enters through q^2 only; tolerance covers the last-ulp asymmetry
-        # of linspace nodes amplified by the Airy slope
-        w = ideal_cubic_wigner(0.1, 0.0, grid_small).samples
-        assert np.max(np.abs(w - w[::-1, :])) < 1e-10
 
 
 class TestPhotonMod:

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -205,6 +206,23 @@ class TestApplySymplectic:
     def test_mode_count_mismatch_rejected(self, grid_tiny):
         with pytest.raises(ws.GridMismatchError):
             apply_symplectic(vacuum_wigner(grid_tiny), sym_beamsplitter(0.5))
+
+    def test_beamsplitter_peak_memory(self):
+        # the output plus one joint-sized temporary: corners are gathered in
+        # chunks from a view of the samples, and the output is handed to
+        # the field without a copy
+        g = ws.build_grid(-8, 8, 41, -8, 8, 41)
+        joint = tensor_product(number_state_wigner(1, g), vacuum_wigner(g))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = apply_symplectic(joint, sym_beamsplitter(0.9))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert out.samples.shape == joint.samples.shape
+        assert peak <= 2.5 * joint.samples.nbytes
 
 
 class TestHomodyne:
