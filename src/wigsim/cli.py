@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 computation or validation failure, 2 usage error.
 
 import argparse
 import contextlib
+import os
 import pathlib
 import sys
 
@@ -160,6 +161,12 @@ def _write_curve(path, rows) -> None:
         for mean, neg in rows:
             fh.write(f"{mean:.12e},{neg:.12e}\n")
     print(f"wrote {path}  rows={len(rows)}")
+
+
+def _check_out(path) -> None:
+    out = pathlib.Path(path).absolute()
+    if out.is_dir() or not (out.parent.is_dir() and os.access(out.parent, os.W_OK)):
+        raise UsageError(f"cannot write {path}: not a file in a writable directory")
 
 
 def _run_sweep(config, path) -> None:
@@ -353,6 +360,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # an unwritable --out fails here, before any field is computed
+        if getattr(args, "out", None) is not None:
+            _check_out(args.out)
         return args.func(args)
     except SpecStringError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -156,47 +156,51 @@ def wigner_from_fock(rho: FockDensity, grid: PhaseSpaceGrid) -> WignerField:
     bounded by 1 pointwise for every k, so large cutoffs cannot overflow
     the way separate factorial and power terms would; the n-recurrence
     likewise carries sqrt(n! k! / (n+k)!) <= 1 instead of bare factorials.
+
+    Elements with |rho| <= 1e-18 max|rho| are negligible: each diagonal's
+    recurrence stops at its last element above that, and the k loop after
+    the last diagonal holding one, so padding the cutoff with negligible
+    elements leaves the field bit-identical.
     """
     if grid.mode_count != 1:
         raise ValueError("wigner_from_fock is single-mode")
-    d = rho.cutoff
     mat = rho.matrix
     q, p = grid.open_mesh()
     u = (q * q + p * p).ravel()
     uu, inv = np.unique(u, return_inverse=True)
 
     scale = max(np.max(np.abs(mat)), 1e-300)
+    big = np.abs(mat) > 1e-18 * scale
+    rows, cols = np.nonzero(big)
     total = np.zeros(u.size)
     z = (q - 1j * p).astype(complex).ravel()
     ang = np.exp(-u / 2.0).astype(complex)
+    z_step = np.empty_like(z)
+    lag_next = np.empty(uu.size)
 
-    for k in range(d):
+    for k in range(int(np.max(rows - cols)) + 1):
         # rho[n + k, n] multiplies W(|n+k><n|)
-        diag = np.ascontiguousarray(np.diagonal(mat, offset=-k))
+        diag = np.diagonal(mat, offset=-k)
         if k > 0:
-            ang = ang * (z / math.sqrt(k))
-        if np.max(np.abs(diag)) <= 1e-18 * scale:
+            ang *= np.divide(z, math.sqrt(k), out=z_step)
+        kept = np.flatnonzero(np.diagonal(big, offset=-k))
+        if kept.size == 0:
             continue
+        # L_n^(k)(uu) from L_{-1} = 0 and L_0 = 1, updated in place
         coef = 1.0
-        acc = np.zeros(uu.size, dtype=complex)
-        lag_prev = np.ones(uu.size)
-        acc += diag[0] * coef * lag_prev
-        if d - k > 1:
-            lag_cur = 1.0 + k - uu
-            coef *= -math.sqrt(1.0 / (1.0 + k))
-            acc += diag[1] * coef * lag_cur
-            for n in range(2, d - k):
-                lag_prev, lag_cur = (
-                    lag_cur,
-                    ((2 * n - 1 + k - uu) * lag_cur - (n - 1 + k) * lag_prev) / n,
-                )
-                coef *= -math.sqrt(n / (n + k))
-                acc += diag[n] * coef * lag_cur
-        radial = acc[inv]
-        if k == 0:
-            total += (ang * radial).real
-        else:
-            total += 2.0 * (ang * radial).real
+        lag_prev, lag_cur = np.zeros(uu.size), np.ones(uu.size)
+        acc = diag[0] * lag_cur
+        for n in range(1, kept[-1] + 1):
+            # lag_next = ((2n - 1 + k - uu) lag_cur - (n - 1 + k) lag_prev) / n
+            np.subtract(2 * n - 1 + k, uu, out=lag_next)
+            lag_next *= lag_cur
+            lag_prev *= n - 1 + k
+            lag_next -= lag_prev
+            lag_next /= n
+            lag_prev, lag_cur, lag_next = lag_cur, lag_next, lag_prev
+            coef *= -math.sqrt(n / (n + k))
+            acc += diag[n] * coef * lag_cur
+        total += (1.0 if k == 0 else 2.0) * (ang * acc[inv]).real
 
     w = total.reshape(grid.shape) / (2.0 * np.pi)
     return field_from_samples(grid, w)

@@ -23,11 +23,12 @@ def log_negativity(field: WignerField) -> float:
 
     For a normalized field the integral of |W| is >= integral of W, so the
     true value cannot fall below ln(1 - TOL_NORM). Tiny negative results are
-    quadrature noise and are clamped to 0 with a diagnostic.
+    quadrature noise and are clamped to 0 with a diagnostic. |W| is taken
+    one row block at a time inside the integral, never on the whole field.
     """
     if not field.normalized:
         raise UnnormalizedFieldError("log_negativity needs a normalized field")
-    total = integrate_samples(np.abs(field.samples), field.grid.axes)
+    total = integrate_samples(field.samples, field.grid.axes, _pointwise=np.abs)
     value = float(np.log(total))
     if value < 0.0:
         if value < -2.0 * TOL_NORM:

@@ -29,12 +29,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Union
 
 import numpy as np
 
 from .errors import GridMismatchError, UndefinedStateError, UnnormalizedFieldError
-from .grids import PhaseSpaceGrid, WignerField, field_from_samples, integrate_samples
+from .grids import (_BLOCK_POINTS, PhaseSpaceGrid, WignerField, field_from_samples,
+                    integrate_samples)
 from .special import airy_ai_scaled, laguerre
 from .symplectic import omega
 
@@ -154,15 +156,35 @@ def rotated_squeezed_cov(s: float, theta: float) -> np.ndarray:
     return rot @ np.diag([np.exp(-2.0 * s), np.exp(2.0 * s)]) @ rot.T
 
 
+def _fill_by_rows(grid: PhaseSpaceGrid, kernel, *fields) -> np.ndarray:
+    """kernel(q, p, *fields) on a single-mode grid, one block of q-rows at a time.
+
+    kernel is pointwise in broadcast (q, p) and the rows of fields, so the
+    result is bit-identical to kernel(*grid.open_mesh(), *fields). It comes
+    back read-only, so WignerField keeps it without a copy.
+    """
+    q, p = grid.open_mesh()
+    rows = max(1, _BLOCK_POINTS // p.size)
+    out = np.empty(grid.shape)
+    for lo in range(0, q.shape[0], rows):
+        block = slice(lo, lo + rows)
+        out[block] = kernel(q[block], p, *(f[block] for f in fields))
+    out.setflags(write=False)
+    return out
+
+
 def gaussian_wigner(params: GaussianStateParams, grid: PhaseSpaceGrid) -> WignerField:
     """W(x) = exp(-(x - xbar)^T Lambda^{-1} (x - xbar) / 2) / ((2 pi)^N sqrt(det))."""
     if grid.mode_count != params.mode_count:
         raise GridMismatchError("grid and params mode counts differ")
+    return field_from_samples(grid, _gaussian_samples(params, grid.open_mesh()))
+
+
+def _gaussian_samples(params: GaussianStateParams, mesh) -> np.ndarray:
     sign, logdet = np.linalg.slogdet(params.cov)
     if sign <= 0:
         raise ValueError("covariance must be positive definite")
     inv = np.linalg.inv(params.cov)
-    mesh = grid.open_mesh()
     centered = [m - params.mean[i] for i, m in enumerate(mesh)]
     n2 = len(mesh)
     quad = 0.0
@@ -170,8 +192,8 @@ def gaussian_wigner(params: GaussianStateParams, grid: PhaseSpaceGrid) -> Wigner
         quad = quad + inv[i, i] * centered[i] * centered[i]
         for j in range(i + 1, n2):
             quad = quad + (2.0 * inv[i, j]) * centered[i] * centered[j]
-    norm = (2.0 * np.pi) ** grid.mode_count * np.exp(0.5 * logdet)
-    return field_from_samples(grid, np.exp(-0.5 * quad) / norm)
+    norm = (2.0 * np.pi) ** params.mode_count * np.exp(0.5 * logdet)
+    return np.exp(-0.5 * quad) / norm
 
 
 def vacuum_wigner(grid: PhaseSpaceGrid) -> WignerField:
@@ -187,10 +209,12 @@ def number_state_wigner(n: int, grid: PhaseSpaceGrid) -> WignerField:
         raise ValueError("n must be >= 0")
     if grid.mode_count != 1:
         raise GridMismatchError("number_state_wigner is single-mode")
-    q, p = grid.open_mesh()
+    return field_from_samples(grid, _fill_by_rows(grid, partial(_number_samples, n)))
+
+
+def _number_samples(n: int, q, p) -> np.ndarray:
     u = q * q + p * p
-    w = ((-1.0) ** n / (2.0 * np.pi)) * laguerre(n, u) * np.exp(-u / 2.0)
-    return field_from_samples(grid, w)
+    return ((-1.0) ** n / (2.0 * np.pi)) * laguerre(n, u) * np.exp(-u / 2.0)
 
 
 def on_state_wigner(N: int, a: complex, grid: PhaseSpaceGrid) -> WignerField:
@@ -204,7 +228,10 @@ def on_state_wigner(N: int, a: complex, grid: PhaseSpaceGrid) -> WignerField:
     if grid.mode_count != 1:
         raise GridMismatchError("on_state_wigner is single-mode")
     a = complex(a)
-    q, p = grid.open_mesh()
+    return field_from_samples(grid, _fill_by_rows(grid, partial(_on_samples, N, a)))
+
+
+def _on_samples(N: int, a: complex, q, p) -> np.ndarray:
     u = q * q + p * p
     env = np.exp(-u / 2.0)
     w_vac = env / (2.0 * np.pi)
@@ -216,8 +243,7 @@ def on_state_wigner(N: int, a: complex, grid: PhaseSpaceGrid) -> WignerField:
         * (a * (q - 1j * p) ** N).real
     )
     denom = 1.0 + abs(a) ** 2
-    w = (w_vac + abs(a) ** 2 * w_num + cross) / denom
-    return field_from_samples(grid, w)
+    return (w_vac + abs(a) ** 2 * w_num + cross) / denom
 
 
 def cubic_phase_wavefunction(gamma: float, P: float, s: float):
@@ -249,26 +275,6 @@ def _cubic_airy_samples(gamma: float, P: float, s: float, q, p) -> np.ndarray:
     expo = expo - (2.0 / 3.0) * np.maximum(arg, 0.0) ** 1.5
     amp = 2.0 * np.pi / (cbrt * np.sqrt(8.0 * np.pi**3 * sig2))
     return amp * (np.exp(expo) * airy_ai_scaled(arg))
-
-
-# points per block of q-rows in _fill_by_rows: small enough that every
-# temporary of a pointwise kernel (about a dozen for the Airy field) stays in
-# the L2 cache, large enough that numpy's per-call overhead stays small
-_BLOCK_POINTS = 32768
-
-
-def _fill_by_rows(grid: PhaseSpaceGrid, kernel) -> np.ndarray:
-    """kernel(q, p) on a single-mode grid, one block of q-rows at a time.
-
-    kernel is pointwise in broadcast (q, p), so the result is bit-identical
-    to kernel(*grid.open_mesh()) at a fraction of its memory traffic.
-    """
-    q, p = grid.open_mesh()
-    rows = max(1, _BLOCK_POINTS // p.size)
-    out = np.empty(grid.shape)
-    for lo in range(0, q.shape[0], rows):
-        out[lo : lo + rows] = kernel(q[lo : lo + rows], p)
-    return out
 
 
 def cubic_phase_wigner(
@@ -315,6 +321,12 @@ def photon_mod_wigner(
         raise ValueError("sign must be +1 or -1")
     if grid.mode_count != 1:
         raise GridMismatchError("photon_mod_wigner is single-mode")
+    samples = _fill_by_rows(grid, _photon_mod_kernel(sign, s, theta))
+    return field_from_samples(grid, samples)
+
+
+def _photon_mod_kernel(sign: int, s: float, theta: float):
+    """The pointwise (q, p) -> W_pm of photon_mod_wigner."""
     cov = rotated_squeezed_cov(s, theta)
     shifted = cov + sign * np.eye(2)
     tr = np.trace(shifted)
@@ -326,13 +338,13 @@ def photon_mod_wigner(
     inv = np.linalg.inv(cov)
     m_mat = inv @ a_mat @ inv
     const = np.trace(inv @ a_mat)
+    params = GaussianStateParams(mean=np.zeros(2), cov=cov)
 
-    q, p = grid.open_mesh()
-    quad = m_mat[0, 0] * q * q + 2.0 * m_mat[0, 1] * q * p + m_mat[1, 1] * p * p
-    base = gaussian_wigner(
-        GaussianStateParams(mean=np.zeros(2), cov=cov), grid
-    ).samples
-    return field_from_samples(grid, 0.5 * (quad - const + 2.0) * base)
+    def kernel(q, p):
+        quad = m_mat[0, 0] * q * q + 2.0 * m_mat[0, 1] * q * p + m_mat[1, 1] * p * p
+        return 0.5 * (quad - const + 2.0) * _gaussian_samples(params, (q, p))
+
+    return kernel
 
 
 def mean_photon_analytic(spec: ResourceStateSpec) -> float:
@@ -358,9 +370,10 @@ def mean_photon_numeric(field: WignerField) -> float:
         raise GridMismatchError("mean_photon_numeric is single-mode")
     if not field.normalized:
         raise UnnormalizedFieldError("field must be normalized")
-    q, p = field.grid.open_mesh()
-    weight = (q * q + p * p) / 4.0
-    return integrate_samples(field.samples * weight, field.grid.axes) - 0.5
+    weighted = _fill_by_rows(
+        field.grid, lambda q, p, w: w * ((q * q + p * p) / 4.0), field.samples
+    )
+    return integrate_samples(weighted, field.grid.axes) - 0.5
 
 
 def resource_wigner(spec: ResourceStateSpec, grid: PhaseSpaceGrid) -> WignerField:

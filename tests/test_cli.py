@@ -157,6 +157,26 @@ class TestExitCodes:
             )
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv,stage",
+        [(["state", "number:n=1"], "resource_wigner"),
+         (["negativity", "number:n=1"], "resource_wigner"),
+         (["distill"], "distill_sweep")],
+        ids=lambda v: v[0] if isinstance(v, list) else None,
+    )
+    def test_unwritable_out_fails_before_any_field(self, capsys, tmp_path, monkeypatch,
+                                                   argv, stage):
+        def computed(*args, **kwargs):
+            raise AssertionError(f"{stage} ran before --out was checked")
+
+        monkeypatch.setattr(cli, stage, computed)
+        for path in (tmp_path / "missing" / "x.csv", tmp_path):
+            rc, _, err = run(capsys, argv + COARSE + ["--out", str(path)])
+            assert rc == 2
+            assert err.startswith("error:") and str(path) in err
+            assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_unconverged_quadrature_exits_one(self, capsys):
         # a +-3 window cannot hold the s=1.5 cubic state
         rc, _, err = run(

@@ -89,6 +89,14 @@ class TestOracleAgreement:
         rec = wigner_from_fock(fock_density(spec, 96), grid_oracle)
         assert np.max(np.abs(rec.samples - ref.samples)) < 1e-6
 
+    def test_padding_the_cutoff_leaves_the_field_bit_identical(self, grid_oracle):
+        # the elements beyond cutoff 60 are negligible, so the recurrences
+        # stop at the same terms
+        spec = PhotonMod(sign=1, s=0.2, theta=0.0)
+        a = wigner_from_fock(fock_density(spec, 60), grid_oracle)
+        b = wigner_from_fock(fock_density(spec, 240), grid_oracle)
+        assert np.array_equal(a.samples, b.samples)
+
     def test_high_cutoff_stays_finite(self):
         # the angular factor z^k/sqrt(k!) must not overflow at k > 170
         g = ws.build_grid(-9, 9, 81, -9, 9, 81)

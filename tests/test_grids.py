@@ -8,6 +8,8 @@ from wigsim import InvalidGridError, NonNormalizableError, UnnormalizedFieldErro
 from wigsim.grids import (
     PhaseSpaceGrid,
     QuadratureDistribution,
+    WignerField,
+    csv_header,
     field_from_samples,
     integrate_full,
     integrate_samples,
@@ -82,6 +84,22 @@ class TestIntegration:
     def test_constant_integral_is_volume(self, n):
         g = ws.build_grid(-2, 3, n, 0, 4, n)
         assert abs(integrate_samples(np.ones(g.shape), g.axes) - 20.0) < 1e-10
+
+    # one row per block on a last axis wider than a block, many rows per
+    # block, and 4-D fields with one and with several leading rows per block
+    @pytest.mark.parametrize(
+        "shape", [(3, 40000), (201, 1025), (9, 9, 9, 9), (5, 41, 41, 41)]
+    )
+    def test_row_blocks_equal_whole_array_contraction(self, shape):
+        axes = tuple(np.linspace(-4, 4 + i, n) for i, n in enumerate(shape))
+        samples = np.random.default_rng(3).normal(size=shape)
+        for mapped, pointwise in ((samples, None), (np.abs(samples), np.abs)):
+            ref = mapped
+            for ax in reversed(axes):
+                ref = ref @ trapezoid_weights(ax) if ref.ndim == 1 else (
+                    ref * trapezoid_weights(ax)
+                ).sum(axis=-1)
+            assert integrate_samples(samples, axes, _pointwise=pointwise) == float(ref)
 
     def test_dimension_mismatch_rejected(self):
         g = ws.build_grid(-1, 1, 5, -1, 1, 5)
@@ -253,6 +271,22 @@ class TestCsvRoundTrip:
         for ax_in, ax_out in zip(w.grid.axes, back.grid.axes):
             assert np.allclose(ax_out, ax_in, rtol=1e-12, atol=1e-14)
         assert np.max(np.abs(back.samples - w.samples)) < 1e-12
+
+    @pytest.mark.parametrize("modes", [1, 2])
+    def test_write_matches_savetxt_bytes(self, tmp_path, modes):
+        g = ws.build_grid(-3, 3, 9, -2, 2, 9, modes=modes)
+        samples = np.random.default_rng(5).normal(size=g.shape)
+        if modes == 1:
+            samples[0, :5] = [0.0, -0.0, 1e-300, -1e300, 1e300]
+        field = WignerField(grid=g, samples=samples, normalized=False)
+        mesh = np.meshgrid(*g.axes, indexing="ij")
+        coords = np.column_stack([m.ravel() for m in mesh])
+        ref = tmp_path / "ref.csv"
+        np.savetxt(ref, np.column_stack([coords, field.samples.ravel()]), fmt="%.12e",
+                   delimiter=",", header=csv_header(modes), comments="")
+        out = tmp_path / "out.csv"
+        write_field_csv(field, out)
+        assert out.read_bytes() == ref.read_bytes()
 
     def test_write_is_deterministic(self, tmp_path):
         g = ws.build_grid(-6, 6, 41, -6, 6, 41)

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -36,6 +37,19 @@ class TestLogNegativity:
         )
         with pytest.raises(UnnormalizedFieldError):
             log_negativity(half)
+
+    def test_peak_memory_is_a_row_block(self):
+        # |W| is taken one row block at a time inside the integral
+        field = number_state_wigner(1, ws.build_grid(-16, 16, 1025, -32, 32, 2049))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            log_negativity(field)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.25 * field.samples.nbytes
 
     def test_noise_clamped_to_zero(self, grid_small):
         # shave a sliver off the vacuum so integral |W| dips just under 1

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -18,6 +20,9 @@ from wigsim.monotones import log_negativity
 from wigsim.states import (
     _BLOCK_POINTS,
     _cubic_airy_samples,
+    _number_samples,
+    _on_samples,
+    _photon_mod_kernel,
     cubic_phase_wavefunction,
     cubic_phase_wigner,
     gaussian_wigner,
@@ -232,6 +237,26 @@ def test_block_fill_equals_pointwise_closed_form(n_q, n_p):
                 field = cubic_phase_wigner(gamma, P, s, grid)
                 ref = _cubic_airy_samples(gamma, P, s, q, p)
                 assert np.array_equal(field.samples, ref)
+    for n in (0, 1, 4):
+        assert np.array_equal(number_state_wigner(n, grid).samples, _number_samples(n, q, p))
+    for N, a in ((1, 0.5), (3, 0.2449j)):
+        assert np.array_equal(on_state_wigner(N, a, grid).samples, _on_samples(N, a, q, p))
+    for sign, s, theta in ((1, 0.5, 0.0), (-1, 1.0, np.pi / 4)):
+        ref = _photon_mod_kernel(sign, s, theta)(q, p)
+        assert np.array_equal(photon_mod_wigner(sign, s, theta, grid).samples, ref)
+
+
+def test_on_state_peak_memory():
+    # the fresh samples are filled in row blocks and wrapped without a copy
+    grid = ws.build_grid(-16, 16, 1025, -16, 16, 1025)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        field = on_state_wigner(3, 0.2449j, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * field.samples.nbytes
 
 
 class TestPhotonMod:
