@@ -120,6 +120,8 @@ class DistillationConfig:
                 raise ValueError("window must satisfy p- < p+")
         if self.target_P_suc is not None and not 0.0 < self.target_P_suc <= 1.0:
             raise ValueError("target_P_suc must lie in (0, 1]")
+        if self.s_targ is not None and not 0.0 <= self.s_targ < np.inf:
+            raise ValueError("s_targ must be finite and >= 0")
 
 
 @dataclass(frozen=True, eq=False)

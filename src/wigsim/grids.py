@@ -6,13 +6,15 @@ are ordered (q1, p1, ..., qN, pN), and an N-mode Wigner field is sampled on
 the cartesian product of 2N uniform axes in that order.
 
 All integrals are composite trapezoid rules contracted axis by axis, last
-axis first, with numpy's pairwise summation. The contraction order is fixed
-so repeated runs produce bit-identical results.
+axis first, one row block at a time (row_blocks): every axis but the leading
+one with numpy's pairwise summation, the leading one by one dot product.
+The contraction order is fixed so repeated runs produce bit-identical results.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -31,8 +33,21 @@ DEFAULT_QMAX = 16.0
 DEFAULT_POINTS = 1025
 
 # points per block of leading-axis rows: few enough that every temporary of a
-# row-block loop stays in the L2 cache, enough to amortize numpy's call cost
+# row-block loop stays in the L2 cache, enough to amortize numpy's call cost.
+# Every such loop (fills, integrals, FFT batches, resampler gathers, CSV
+# checks) takes its blocks from row_blocks.
 _BLOCK_POINTS = 32768
+
+
+def row_blocks(shape) -> list:
+    """Slices of the leading axis of shape, each of about _BLOCK_POINTS points."""
+    rows = max(1, _BLOCK_POINTS // math.prod(shape[1:]))
+    return [slice(lo, lo + rows) for lo in range(0, shape[0], rows)]
+
+
+def _rows(arrays, block) -> tuple:
+    """The block's rows of each array; an array one row high broadcasts whole."""
+    return tuple(a if a.shape[0] == 1 else a[block] for a in arrays)
 
 
 def _check_axis(ax: np.ndarray) -> None:
@@ -82,10 +97,16 @@ class PhaseSpaceGrid:
     def spacings(self) -> tuple:
         return tuple((ax[-1] - ax[0]) / (ax.size - 1) for ax in self.axes)
 
-    def axis(self, mode: int, quadrature: str) -> np.ndarray:
+    def axis_index(self, mode: int, quadrature: str) -> int:
+        """Position in axes of quadrature 'q' or 'p' of a 0-based mode."""
         if quadrature not in ("q", "p"):
             raise ValueError("quadrature must be 'q' or 'p'")
-        return self.axes[2 * mode + (0 if quadrature == "q" else 1)]
+        if not 0 <= mode < self.mode_count:
+            raise ValueError("mode index out of range")
+        return 2 * mode + (0 if quadrature == "q" else 1)
+
+    def axis(self, mode: int, quadrature: str) -> np.ndarray:
+        return self.axes[self.axis_index(mode, quadrature)]
 
     def open_mesh(self) -> tuple:
         """Axes broadcast-shaped for elementwise field construction."""
@@ -138,26 +159,49 @@ def trapezoid_weights(ax: np.ndarray) -> np.ndarray:
     return w
 
 
-def integrate_samples(samples: np.ndarray, axes: tuple, *, _pointwise=None) -> float:
-    """Trapezoid integral over all axes, contracted last axis first.
+def fill_by_rows(grid: PhaseSpaceGrid, kernel) -> np.ndarray:
+    """kernel(*grid.open_mesh()), evaluated one row block at a time.
 
-    One block of leading-axis rows (about _BLOCK_POINTS points) at a time,
-    first mapped by _pointwise if given; each row's pairwise sums are
-    unchanged, so the result is bit-identical to a whole-array contraction.
+    kernel is pointwise in its broadcast coordinates, so the result is
+    bit-identical to one call on the whole open mesh. It comes back
+    read-only, so WignerField keeps it without a copy.
     """
-    if samples.ndim != len(axes):
+    mesh = grid.open_mesh()
+    out = np.empty(grid.shape)
+    for block in row_blocks(grid.shape):
+        out[block] = kernel(*_rows(mesh, block))
+    out.setflags(write=False)
+    return out
+
+
+def integrate_samples(samples, axes: tuple, *, pointwise=None):
+    """Trapezoid integral over every axis whose entry in axes is not None.
+
+    samples is an array, or a tuple of arrays broadcasting to one shape that
+    pointwise maps to the integrand, one row block at a time, so no
+    full-size temporary is made. The result is a float, or an array over the
+    axes whose entry is None. A row's sums do not depend on the blocking, so
+    it is bit-identical to a whole-array contraction.
+    """
+    operands = samples if isinstance(samples, tuple) else (samples,)
+    shape = np.broadcast_shapes(*(a.shape for a in operands))
+    if len(shape) != len(axes):
         raise ValueError("samples dimensionality does not match axes")
-    weights = [trapezoid_weights(ax) for ax in axes]
-    rows = max(1, _BLOCK_POINTS // samples[0].size)
-    lead = np.empty(samples.shape[0])
-    for lo in range(0, samples.shape[0], rows):
-        out = samples[lo : lo + rows]
-        if _pointwise is not None:
-            out = _pointwise(out)
-        for w in reversed(weights[1:]):
-            out = (out * w).sum(axis=-1)
-        lead[lo : lo + rows] = out
-    return float(lead @ weights[0])
+    weights = [None if ax is None else trapezoid_weights(ax) for ax in axes]
+    kept = tuple(n for n, w in zip(shape[1:], weights[1:]) if w is None)
+    lead = np.empty(shape[:1] + kept)
+    for block in row_blocks(shape):
+        out = _rows(operands, block)
+        out = out[0] if pointwise is None else pointwise(*out)
+        for j in reversed(range(1, len(shape))):
+            if weights[j] is not None:
+                # laid out with axis j last, so numpy sums each row pairwise
+                out = np.multiply(np.moveaxis(out, j, -1), weights[j], order="C").sum(-1)
+        lead[block] = out
+    if weights[0] is None:
+        return lead
+    total = np.moveaxis(lead, 0, -1) @ weights[0]
+    return total if kept else float(total)
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,19 +300,10 @@ def marginal_over(field: WignerField, dropped_modes) -> WignerField:
     if len(modes) == n:
         raise ValueError("cannot drop every mode; at least one must remain")
 
-    dropped_axes = sorted(
-        [2 * m for m in modes] + [2 * m + 1 for m in modes], reverse=True
-    )
-    out = field.samples
-    for ax_idx in dropped_axes:
-        w = trapezoid_weights(field.grid.axes[ax_idx])
-        out = np.tensordot(out, w, axes=([ax_idx], [0]))
-    kept_axes = tuple(
-        ax
-        for i, ax in enumerate(field.grid.axes)
-        if i not in set(dropped_axes)
-    )
-    return field_from_samples(PhaseSpaceGrid(axes=kept_axes), out)
+    dropped = tuple(ax if i // 2 in modes else None for i, ax in enumerate(field.grid.axes))
+    out = integrate_samples(field.samples, dropped)
+    kept = tuple(ax for ax, d in zip(field.grid.axes, dropped) if d is None)
+    return field_from_samples(PhaseSpaceGrid(axes=kept), out)
 
 
 def tensor_product(a: WignerField, b: WignerField) -> WignerField:
@@ -286,7 +321,7 @@ def overlap_trace(a: WignerField, b: WignerField) -> float:
         raise GridMismatchError("overlap_trace needs both fields on one grid")
     n = a.mode_count
     return (4.0 * np.pi) ** n * integrate_samples(
-        a.samples * b.samples, a.grid.axes
+        (a.samples, b.samples), a.grid.axes, pointwise=np.multiply
     )
 
 
@@ -336,14 +371,13 @@ def wigner_from_wavefunction(
     phase = np.exp(-1j * p[0] * y)
     start = -half % n  # where y[0] falls in the folded sequence
     width = n * int(np.ceil((start + y.size) / n))
-    rows = max(1, 2**18 // width)
     w = np.empty(grid.shape)
-    for r in range(0, q.size, rows):
-        u = psi(q[r : r + rows, None] + y)  # y is symmetric: u[:, ::-1] is psi(q - y)
+    for block in row_blocks((q.size, width)):
+        u = psi(q[block, None] + y)  # y is symmetric: u[:, ::-1] is psi(q - y)
         seq = np.zeros((u.shape[0], width), dtype=complex)
         seq[:, start : start + y.size] = np.conjugate(u[:, ::-1]) * u * phase
         folded = seq.reshape(u.shape[0], -1, n).sum(axis=1)
-        w[r : r + rows] = np.fft.fft(folded, axis=1).real[:, : p.size]
+        w[block] = np.fft.fft(folded, axis=1).real[:, : p.size]
     return field_from_samples(grid, w * (dy / (2 * np.pi * norm)))
 
 
@@ -380,10 +414,12 @@ def read_field_csv(path) -> WignerField:
     if n_axes < 2 or n_axes % 2 != 0:
         raise ValueError("unexpected CSV column count")
     grid = PhaseSpaceGrid(axes=tuple(np.unique(data[:, j]) for j in range(n_axes)))
-    mesh = np.meshgrid(*grid.axes, indexing="ij")
-    expected = np.column_stack([m.ravel() for m in mesh])
-    if expected.shape[0] != data.shape[0] or not np.allclose(
-        expected, data[:, :n_axes], atol=0, rtol=1e-12
+    mesh = grid.open_mesh()
+    # each coordinate column, viewed on the grid, against its broadcast axis
+    if data.shape[0] != math.prod(grid.shape) or not all(
+        np.allclose(want, data[:, j].reshape(grid.shape)[block], atol=0, rtol=1e-12)
+        for block in row_blocks(grid.shape)
+        for j, want in enumerate(_rows(mesh, block))
     ):
         raise ValueError("CSV rows are not a row-major grid enumeration")
     samples = data[:, -1].reshape(grid.shape)

@@ -28,7 +28,7 @@ def log_negativity(field: WignerField) -> float:
     """
     if not field.normalized:
         raise UnnormalizedFieldError("log_negativity needs a normalized field")
-    total = integrate_samples(field.samples, field.grid.axes, _pointwise=np.abs)
+    total = integrate_samples(field.samples, field.grid.axes, pointwise=np.abs)
     value = float(np.log(total))
     if value < 0.0:
         if value < -2.0 * TOL_NORM:

@@ -35,7 +35,7 @@ from typing import Union
 import numpy as np
 
 from .errors import GridMismatchError, UndefinedStateError, UnnormalizedFieldError
-from .grids import (_BLOCK_POINTS, PhaseSpaceGrid, WignerField, field_from_samples,
+from .grids import (PhaseSpaceGrid, WignerField, field_from_samples, fill_by_rows,
                     integrate_samples)
 from .special import airy_ai_scaled, laguerre
 from .symplectic import omega
@@ -156,28 +156,12 @@ def rotated_squeezed_cov(s: float, theta: float) -> np.ndarray:
     return rot @ np.diag([np.exp(-2.0 * s), np.exp(2.0 * s)]) @ rot.T
 
 
-def _fill_by_rows(grid: PhaseSpaceGrid, kernel, *fields) -> np.ndarray:
-    """kernel(q, p, *fields) on a single-mode grid, one block of q-rows at a time.
-
-    kernel is pointwise in broadcast (q, p) and the rows of fields, so the
-    result is bit-identical to kernel(*grid.open_mesh(), *fields). It comes
-    back read-only, so WignerField keeps it without a copy.
-    """
-    q, p = grid.open_mesh()
-    rows = max(1, _BLOCK_POINTS // p.size)
-    out = np.empty(grid.shape)
-    for lo in range(0, q.shape[0], rows):
-        block = slice(lo, lo + rows)
-        out[block] = kernel(q[block], p, *(f[block] for f in fields))
-    out.setflags(write=False)
-    return out
-
-
 def gaussian_wigner(params: GaussianStateParams, grid: PhaseSpaceGrid) -> WignerField:
     """W(x) = exp(-(x - xbar)^T Lambda^{-1} (x - xbar) / 2) / ((2 pi)^N sqrt(det))."""
     if grid.mode_count != params.mode_count:
         raise GridMismatchError("grid and params mode counts differ")
-    return field_from_samples(grid, _gaussian_samples(params, grid.open_mesh()))
+    samples = fill_by_rows(grid, lambda *x: _gaussian_samples(params, x))
+    return field_from_samples(grid, samples)
 
 
 def _gaussian_samples(params: GaussianStateParams, mesh) -> np.ndarray:
@@ -209,7 +193,7 @@ def number_state_wigner(n: int, grid: PhaseSpaceGrid) -> WignerField:
         raise ValueError("n must be >= 0")
     if grid.mode_count != 1:
         raise GridMismatchError("number_state_wigner is single-mode")
-    return field_from_samples(grid, _fill_by_rows(grid, partial(_number_samples, n)))
+    return field_from_samples(grid, fill_by_rows(grid, partial(_number_samples, n)))
 
 
 def _number_samples(n: int, q, p) -> np.ndarray:
@@ -228,7 +212,7 @@ def on_state_wigner(N: int, a: complex, grid: PhaseSpaceGrid) -> WignerField:
     if grid.mode_count != 1:
         raise GridMismatchError("on_state_wigner is single-mode")
     a = complex(a)
-    return field_from_samples(grid, _fill_by_rows(grid, partial(_on_samples, N, a)))
+    return field_from_samples(grid, fill_by_rows(grid, partial(_on_samples, N, a)))
 
 
 def _on_samples(N: int, a: complex, q, p) -> np.ndarray:
@@ -286,10 +270,6 @@ def cubic_phase_wigner(
     route to the same field is
     wigner_from_wavefunction(cubic_phase_wavefunction(gamma, P, s), grid).
 
-    The closed form is filled one block of q-rows at a time (about 2^15
-    points each, see _fill_by_rows), and the samples are bit-identical to
-    _cubic_airy_samples evaluated on the whole open mesh at once.
-
     Like every generator, the field is flagged by field_from_samples: on a
     grid too small for the state (or for a strongly squeezed fidelity
     target) it comes back flagged unnormalized, and consumers that need a
@@ -305,7 +285,7 @@ def cubic_phase_wigner(
             cov=np.diag([np.exp(2.0 * s), np.exp(-2.0 * s)]),
         )
         return gaussian_wigner(params, grid)
-    samples = _fill_by_rows(grid, lambda q, p: _cubic_airy_samples(gamma, P, s, q, p))
+    samples = fill_by_rows(grid, lambda q, p: _cubic_airy_samples(gamma, P, s, q, p))
     return field_from_samples(grid, samples)
 
 
@@ -321,7 +301,7 @@ def photon_mod_wigner(
         raise ValueError("sign must be +1 or -1")
     if grid.mode_count != 1:
         raise GridMismatchError("photon_mod_wigner is single-mode")
-    samples = _fill_by_rows(grid, _photon_mod_kernel(sign, s, theta))
+    samples = fill_by_rows(grid, _photon_mod_kernel(sign, s, theta))
     return field_from_samples(grid, samples)
 
 
@@ -370,10 +350,11 @@ def mean_photon_numeric(field: WignerField) -> float:
         raise GridMismatchError("mean_photon_numeric is single-mode")
     if not field.normalized:
         raise UnnormalizedFieldError("field must be normalized")
-    weighted = _fill_by_rows(
-        field.grid, lambda q, p, w: w * ((q * q + p * p) / 4.0), field.samples
+    total = integrate_samples(
+        field.grid.open_mesh() + (field.samples,), field.grid.axes,
+        pointwise=lambda q, p, w: w * ((q * q + p * p) / 4.0),
     )
-    return integrate_samples(weighted, field.grid.axes) - 0.5
+    return total - 0.5
 
 
 def resource_wigner(spec: ResourceStateSpec, grid: PhaseSpaceGrid) -> WignerField:

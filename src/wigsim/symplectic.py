@@ -42,15 +42,12 @@ from .grids import (
     WignerField,
     integrate_full,
     integrate_samples,
-    trapezoid_weights,
+    row_blocks,
 )
 
 EPS_COND = 1e-10
 
 _SYMPLECTIC_TOL = 1e-10
-
-# elements of the samples gathered per corner at once in _resample_block
-_CHUNK_ELEMENTS = 2**16
 
 
 def omega(modes: int) -> np.ndarray:
@@ -174,16 +171,15 @@ def _resample_block(
     lead = tuple(range(len(block)))
     moved = np.moveaxis(samples, block, lead)
     out = np.zeros((m,) + moved.shape[len(block):])
-    # corners are gathered straight from the view, a chunk of output points
-    # at a time, so no full-size copy or gather of the samples is made
-    chunk = max(1, _CHUNK_ELEMENTS // (samples.size // m))
+    # corners are gathered straight from the view, one row block of output
+    # points at a time, so no full-size copy or gather of the samples is made
+    chunks = row_blocks((m, samples.size // m))
     for corner in product((0, 1), repeat=len(block)):
         w = inside.astype(float)
         for j, bit in enumerate(corner):
             w *= frac[j] if bit else 1.0 - frac[j]
         corner_idx = [i + bit for i, bit in zip(idx, corner)]
-        for start in range(0, m, chunk):
-            sl = slice(start, start + chunk)
+        for sl in chunks:
             gathered = moved[tuple(ci[sl] for ci in corner_idx)]
             gathered *= w[sl].reshape((-1,) + (1,) * (gathered.ndim - 1))
             out[sl] += gathered
@@ -222,17 +218,9 @@ def homodyne_pdf(field: WignerField, mode: int, quadrature: str) -> QuadratureDi
     """Marginal density of one quadrature of one mode."""
     if not field.normalized:
         raise UnnormalizedFieldError("homodyne_pdf needs a normalized field")
-    if quadrature not in ("q", "p"):
-        raise ValueError("quadrature must be 'q' or 'p'")
-    keep = 2 * mode + (0 if quadrature == "q" else 1)
-    if not 0 <= mode < field.mode_count:
-        raise ValueError("mode index out of range")
-    out = field.samples
-    for ax_idx in reversed(range(len(field.grid.axes))):
-        if ax_idx == keep:
-            continue
-        w = trapezoid_weights(field.grid.axes[ax_idx])
-        out = np.tensordot(out, w, axes=([ax_idx], [0]))
+    keep = field.grid.axis_index(mode, quadrature)
+    axes = tuple(None if i == keep else ax for i, ax in enumerate(field.grid.axes))
+    out = integrate_samples(field.samples, axes)
     if np.min(out) < -1e-9:
         raise ValueError("marginal density has a significant negative value")
     return QuadratureDistribution(values=field.grid.axes[keep], densities=np.maximum(out, 0.0))
@@ -252,16 +240,12 @@ def condition_on_homodyne(
         raise UnnormalizedFieldError(
             "condition_on_homodyne needs a normalized field"
         )
-    if quadrature not in ("q", "p"):
-        raise ValueError("quadrature must be 'q' or 'p'")
-    if not 0 <= mode < field.mode_count:
-        raise ValueError("mode index out of range")
+    meas_axis = field.grid.axis_index(mode, quadrature)
     if field.mode_count < 2:
         raise ValueError("conditioning needs at least one unmeasured mode")
 
-    meas_axis = 2 * mode + (0 if quadrature == "q" else 1)
-    conj_axis = 2 * mode + (1 if quadrature == "q" else 0)
-    ax = field.grid.axes[meas_axis]
+    axes = field.grid.axes
+    ax = axes[meas_axis]
     if not ax[0] <= value <= ax[-1]:
         raise OutOfDomainError("measured value lies outside the grid")
 
@@ -273,16 +257,11 @@ def condition_on_homodyne(
     hi = np.take(field.samples, i0 + 1, axis=meas_axis)
     sliced = (1.0 - w1) * lo + w1 * hi
 
-    conj_after = conj_axis if conj_axis < meas_axis else conj_axis - 1
-    w = trapezoid_weights(field.grid.axes[conj_axis])
-    reduced = np.tensordot(sliced, w, axes=([conj_after], [0]))
-
-    kept = tuple(
-        a
-        for i, a in enumerate(field.grid.axes)
-        if i not in (meas_axis, conj_axis)
-    )
-    out_grid = PhaseSpaceGrid(axes=kept)
+    # whichever quadrature was measured, the other one is axis 2 * mode of sliced
+    contract = [None] * (len(axes) - 1)
+    contract[2 * mode] = axes[meas_axis ^ 1]
+    reduced = integrate_samples(sliced, tuple(contract))
+    out_grid = PhaseSpaceGrid(axes=axes[: 2 * mode] + axes[2 * mode + 2 :])
     density = integrate_samples(reduced, out_grid.axes)
     if density < EPS_COND:
         raise DegenerateConditioningError(

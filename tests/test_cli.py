@@ -126,6 +126,19 @@ class TestExitCodes:
         # plain usage errors do not dump the spec grammar
         assert "spec string grammar" not in err
 
+    @pytest.mark.parametrize("value", ["-1", "nan"])
+    def test_bad_s_targ_is_usage_error_before_the_sweep(self, capsys, tmp_path, monkeypatch,
+                                                        value):
+        def swept(*args, **kwargs):
+            raise AssertionError("distill_sweep ran with a bad --s-targ")
+
+        monkeypatch.setattr(cli, "distill_sweep", swept)
+        path = tmp_path / "d.csv"
+        rc, _, err = run(capsys, ["distill", "--s-targ", value, "--out", str(path)] + COARSE)
+        assert rc == 2
+        assert err.startswith("error:") and "s_targ" in err
+        assert not path.exists()
+
     @pytest.mark.parametrize(
         "flags",
         [["--nq", "2"], ["--qmax", "-3"], ["--pmax", "nan"]],

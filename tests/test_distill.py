@@ -54,6 +54,11 @@ class TestConfigValidation:
                     p_v_samples=np.array(samples),
                 )
 
+    @pytest.mark.parametrize("s_targ", [-1.0, np.nan, np.inf])
+    def test_s_targ_must_be_finite_and_nonnegative(self, s_targ):
+        with pytest.raises(ValueError, match="s_targ"):
+            DistillationConfig(input=CubicPhase(0.05, 0.0, 0.5), s_targ=s_targ)
+
     def test_bad_window_order(self):
         with pytest.raises(ValueError):
             DistillationConfig(input=CubicPhase(0.05, 0.0, 0.5), window=(2.0, -2.0))

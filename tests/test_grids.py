@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -92,14 +94,39 @@ class TestIntegration:
     )
     def test_row_blocks_equal_whole_array_contraction(self, shape):
         axes = tuple(np.linspace(-4, 4 + i, n) for i, n in enumerate(shape))
-        samples = np.random.default_rng(3).normal(size=shape)
-        for mapped, pointwise in ((samples, None), (np.abs(samples), np.abs)):
+        rng = np.random.default_rng(3)
+        samples, other = rng.normal(size=shape), rng.normal(size=shape)
+        for operands, pointwise, mapped in (
+            (samples, None, samples),
+            (samples, np.abs, np.abs(samples)),
+            ((samples, other), np.multiply, samples * other),
+        ):
             ref = mapped
             for ax in reversed(axes):
                 ref = ref @ trapezoid_weights(ax) if ref.ndim == 1 else (
                     ref * trapezoid_weights(ax)
                 ).sum(axis=-1)
-            assert integrate_samples(samples, axes, _pointwise=pointwise) == float(ref)
+            assert integrate_samples(operands, axes, pointwise=pointwise) == float(ref)
+
+    # unequal axes: rows wider than a block, every row in one block, many
+    # rows per block with a partial last block, and one row per block
+    @pytest.mark.parametrize(
+        "shape", [(3, 5, 7, 4000), (7, 11, 13, 17), (45, 9, 11, 13), (5, 41, 43, 37)]
+    )
+    def test_kept_axes_match_tensordot(self, shape):
+        axes = tuple(np.linspace(-4, 4 + i, n) for i, n in enumerate(shape))
+        samples = np.random.default_rng(4).normal(size=shape)
+        for count in (1, 2, 3):
+            for kept in itertools.combinations(range(len(shape)), count):
+                ref = samples
+                for j in reversed(range(len(shape))):
+                    if j not in kept:
+                        ref = np.tensordot(ref, trapezoid_weights(axes[j]), axes=([j], [0]))
+                got = integrate_samples(
+                    samples, tuple(None if j in kept else ax for j, ax in enumerate(axes))
+                )
+                assert got.shape == ref.shape
+                assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     def test_dimension_mismatch_rejected(self):
         g = ws.build_grid(-1, 1, 5, -1, 1, 5)
@@ -287,6 +314,25 @@ class TestCsvRoundTrip:
         out = tmp_path / "out.csv"
         write_field_csv(field, out)
         assert out.read_bytes() == ref.read_bytes()
+
+    @pytest.mark.parametrize("modes", [1, 2])
+    @pytest.mark.parametrize("edit", ["swap-rows", "move-coordinate"])
+    def test_rejects_rows_that_do_not_enumerate_the_grid(self, tmp_path, modes, edit):
+        g = ws.build_grid(-3, 3, 5, -2, 2, 7, modes=modes)
+        path = tmp_path / "field.csv"
+        write_field_csv(WignerField(grid=g, samples=np.zeros(g.shape), normalized=False), path)
+        header, *rows = path.read_text().splitlines()
+        if edit == "swap-rows":
+            rows[3], rows[9] = rows[9], rows[3]
+        else:
+            # the last coordinate of row 0 moved onto row 1's, so every
+            # column still holds exactly the grid's axis values
+            cells = rows[0].split(",")
+            cells[-2] = rows[1].split(",")[-2]
+            rows[0] = ",".join(cells)
+        path.write_text("\n".join([header, *rows]) + "\n")
+        with pytest.raises(ValueError, match="not a row-major grid enumeration"):
+            read_field_csv(path)
 
     def test_write_is_deterministic(self, tmp_path):
         g = ws.build_grid(-6, 6, 41, -6, 6, 41)

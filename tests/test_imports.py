@@ -25,3 +25,23 @@ def test_no_unused_imports():
         if path.name != "__init__.py"
     }
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def private_imports(source: str) -> list:
+    """Underscore names a module imports from another wigsim module."""
+    tree = ast.parse(source)
+    return sorted(
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "wigsim")
+        for alias in node.names
+        if alias.name.startswith("_")
+    )
+
+
+def test_no_private_imports_across_modules():
+    # a private name belongs to its module; another module that needs it
+    # needs a public one
+    found = {path.name: private_imports(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert {name: names for name, names in found.items() if names} == {}

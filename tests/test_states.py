@@ -15,11 +15,12 @@ from wigsim import (
     PhotonMod,
     UndefinedStateError,
 )
-from wigsim.grids import integrate_full, wigner_from_wavefunction
+from wigsim.grids import (_BLOCK_POINTS, integrate_full, overlap_trace,
+                          wigner_from_wavefunction)
 from wigsim.monotones import log_negativity
 from wigsim.states import (
-    _BLOCK_POINTS,
     _cubic_airy_samples,
+    _gaussian_samples,
     _number_samples,
     _on_samples,
     _photon_mod_kernel,
@@ -244,6 +245,20 @@ def test_block_fill_equals_pointwise_closed_form(n_q, n_p):
     for sign, s, theta in ((1, 0.5, 0.0), (-1, 1.0, np.pi / 4)):
         ref = _photon_mod_kernel(sign, s, theta)(q, p)
         assert np.array_equal(photon_mod_wigner(sign, s, theta, grid).samples, ref)
+    one = GaussianStateParams(mean=np.array([0.3, -0.2]), cov=rotated_squeezed_cov(0.7, 0.4))
+    assert np.array_equal(gaussian_wigner(one, grid).samples, _gaussian_samples(one, (q, p)))
+    # two modes: the first over (at most 33 of) the grid's q-rows and its
+    # p-axis, the second on 3 x 3 points, so a row holds 9 n_p points
+    cov = np.eye(4)
+    cov[:2, :2] = 2.0 * rotated_squeezed_cov(0.7, 0.4)
+    cov[2:, 2:] = 2.0 * rotated_squeezed_cov(-0.3, 1.1)
+    cov[0, 2] = cov[2, 0] = 0.2
+    cov[1, 3] = cov[3, 1] = -0.1
+    two = GaussianStateParams(mean=np.array([0.1, 0.2, -0.3, 0.4]), cov=cov)
+    small = np.linspace(-2, 2, 3)
+    grid2 = ws.PhaseSpaceGrid(axes=(grid.axes[0][:33], grid.axes[1], small, small))
+    ref = _gaussian_samples(two, grid2.open_mesh())
+    assert np.array_equal(gaussian_wigner(two, grid2).samples, ref)
 
 
 def test_on_state_peak_memory():
@@ -257,6 +272,38 @@ def test_on_state_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * field.samples.nbytes
+
+
+def test_gaussian_peak_memory():
+    # filled in row blocks like every generator, not on the whole mesh
+    grid = ws.build_grid(-16, 16, 1025, -16, 16, 1025)
+    params = GaussianStateParams(mean=np.array([0.3, -0.2]), cov=rotated_squeezed_cov(0.7, 0.4))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        field = gaussian_wigner(params, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * field.samples.nbytes
+
+
+@pytest.mark.parametrize(
+    "reduce", [mean_photon_numeric, lambda f: overlap_trace(f, f)],
+    ids=["mean_photon_numeric", "overlap_trace"],
+)
+def test_reduction_peak_memory_is_a_row_block(reduce):
+    # the integrand is formed one row block at a time inside the integral
+    field = number_state_wigner(1, ws.build_grid(-16, 16, 1025, -32, 32, 2049))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        reduce(field)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.25 * field.samples.nbytes
 
 
 class TestPhotonMod:
