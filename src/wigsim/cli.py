@@ -288,7 +288,10 @@ STUDIES = {"bound": _bound_study, "effect": _effect_study, "curves": _curves_stu
 
 def cmd_study(args) -> int:
     outdir = pathlib.Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot write to {args.outdir}: {exc.strerror}") from None
     for name, job in STUDIES[args.name]():
         if isinstance(job, DistillationConfig):
             _run_sweep(job, outdir / name)

@@ -81,7 +81,8 @@ class DistillationConfig:
 
     input is either a resource-state record (realized on input_grid) or a
     ready-made normalized field. Exactly one of window / target_P_suc may be
-    given; neither means the full sampled range. s_targ switches on fidelity
+    given; neither means the full sampled range, and a window reaching past
+    it is clipped to it in the outcome. s_targ switches on fidelity
     tracking toward cubic-phase targets with the input's gamma, so it needs a
     cubic-phase record as input. Each outcome's field lives on its own
     lattice over the input grid, so output_grid is either None or the input
@@ -157,8 +158,7 @@ class _Conditional:
     """
 
     def __init__(self, field: WignerField, t: float):
-        if field.mode_count != 1:
-            raise GridMismatchError("distillation input must be single-mode")
+        field.grid.require_single_mode("the distillation conditional")
         if not field.normalized:
             raise UnnormalizedFieldError("distillation input must be normalized")
         if not 0.0 < t < 1.0:
@@ -304,6 +304,7 @@ def distill_sweep(config: DistillationConfig) -> DistillationOutcome:
         lo, hi = float(config.window[0]), float(config.window[1])
         if hi <= xs[0] or lo >= xs[-1]:
             raise ValueError("window lies outside the sampled outcome range")
+        lo, hi = max(lo, float(xs[0])), min(hi, float(xs[-1]))
     elif config.target_P_suc is not None:
         lo, hi = select_window(records, config.target_P_suc)
     else:

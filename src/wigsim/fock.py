@@ -9,8 +9,8 @@ of |m><n| (hbar = 2, u = q^2 + p^2, m >= n):
 with W_nm the complex conjugate. The n = 0, m = 0 kernel is the vacuum
 Gaussian, which pins the hbar = 2 normalization and the (q - ip)
 orientation; both are also exercised against first-moment identities in the
-test suite. This route shares no code with the analytic generators beyond
-the Laguerre recurrence, so agreement between the two is a real check.
+test suite. This route shares no code with the analytic generators (its
+Laguerre recurrence is its own), so agreement between the two is a real check.
 """
 
 from __future__ import annotations
@@ -162,8 +162,7 @@ def wigner_from_fock(rho: FockDensity, grid: PhaseSpaceGrid) -> WignerField:
     the last diagonal holding one, so padding the cutoff with negligible
     elements leaves the field bit-identical.
     """
-    if grid.mode_count != 1:
-        raise ValueError("wigner_from_fock is single-mode")
+    grid.require_single_mode("wigner_from_fock")
     mat = rho.matrix
     q, p = grid.open_mesh()
     u = (q * q + p * p).ravel()

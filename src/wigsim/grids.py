@@ -105,6 +105,11 @@ class PhaseSpaceGrid:
             raise ValueError("mode index out of range")
         return 2 * mode + (0 if quadrature == "q" else 1)
 
+    def require_single_mode(self, user: str) -> None:
+        """The one single-mode precondition; user names the refusing caller."""
+        if self.mode_count != 1:
+            raise GridMismatchError(f"{user} is single-mode")
+
     def axis(self, mode: int, quadrature: str) -> np.ndarray:
         return self.axes[self.axis_index(mode, quadrature)]
 
@@ -351,8 +356,7 @@ def wigner_from_wavefunction(
     grid shows in the normalized flag, which is set from the on-grid
     integral.
     """
-    if grid.mode_count != 1:
-        raise ValueError("wigner_from_wavefunction handles single-mode grids")
+    grid.require_single_mode("wigner_from_wavefunction")
     q, p = grid.axes
     dq, dp = grid.spacings
     x = q[0] + dq * np.arange(1 - q.size, 2 * q.size - 1)

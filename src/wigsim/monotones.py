@@ -53,8 +53,7 @@ def fidelity_to_pure(field: WignerField, target: WignerField) -> float:
     """
     if field.grid != target.grid:
         raise GridMismatchError("field and target must share a grid")
-    if field.mode_count != 1:
-        raise ValueError("fidelity_to_pure is single-mode")
+    field.grid.require_single_mode("fidelity_to_pure")
     value = overlap_trace(field, target)
     return float(np.clip(value, 0.0, 1.0 + TOL_NORM))
 

@@ -191,8 +191,7 @@ def number_state_wigner(n: int, grid: PhaseSpaceGrid) -> WignerField:
     """W(q,p) = (1/2pi) (-1)^n L_n(q^2 + p^2) e^{-(q^2+p^2)/2}."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if grid.mode_count != 1:
-        raise GridMismatchError("number_state_wigner is single-mode")
+    grid.require_single_mode("number_state_wigner")
     return field_from_samples(grid, fill_by_rows(grid, partial(_number_samples, n)))
 
 
@@ -209,8 +208,7 @@ def on_state_wigner(N: int, a: complex, grid: PhaseSpaceGrid) -> WignerField:
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    if grid.mode_count != 1:
-        raise GridMismatchError("on_state_wigner is single-mode")
+    grid.require_single_mode("on_state_wigner")
     a = complex(a)
     return field_from_samples(grid, fill_by_rows(grid, partial(_on_samples, N, a)))
 
@@ -277,8 +275,7 @@ def cubic_phase_wigner(
     """
     if s < 0:
         raise ValueError("s must be >= 0")
-    if grid.mode_count != 1:
-        raise GridMismatchError("cubic_phase_wigner is single-mode")
+    grid.require_single_mode("cubic_phase_wigner")
     if gamma == 0.0:
         params = GaussianStateParams(
             mean=np.array([0.0, P]),
@@ -299,8 +296,7 @@ def photon_mod_wigner(
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    if grid.mode_count != 1:
-        raise GridMismatchError("photon_mod_wigner is single-mode")
+    grid.require_single_mode("photon_mod_wigner")
     samples = fill_by_rows(grid, _photon_mod_kernel(sign, s, theta))
     return field_from_samples(grid, samples)
 
@@ -346,8 +342,7 @@ def mean_photon_analytic(spec: ResourceStateSpec) -> float:
 
 def mean_photon_numeric(field: WignerField) -> float:
     """<(q^2 + p^2)/4 - 1/2> by quadrature on a normalized single-mode field."""
-    if field.mode_count != 1:
-        raise GridMismatchError("mean_photon_numeric is single-mode")
+    field.grid.require_single_mode("mean_photon_numeric")
     if not field.normalized:
         raise UnnormalizedFieldError("field must be normalized")
     total = integrate_samples(

@@ -16,6 +16,8 @@ d-dimensional pass up to rounding. This is exact whenever the zero
 pattern is exact: a beam splitter on (q1, p1, q2, p2) is two 2-D passes
 over (q1, q2) and (p1, p2), a squeeze or a displacement is two 1-D
 passes, and an op mixing q with p, such as a rotation, is one block.
+Within a block, each row block of output points computes its own sources,
+corner indices and weights, so no per-point state outlives its rows.
 
 Homodyne measurement of one quadrature marginalizes the rest; conditioning
 slices the field at the measured value and integrates out the conjugate
@@ -147,41 +149,38 @@ def _resample_block(
 ) -> np.ndarray:
     """Multilinear resampling over the axes in `block` (0 outside the grid).
 
-    The block's output coordinates x map to sources s_inv (x - d); the other
-    axes ride along as contiguous rows. Source coordinates within 1e-9
-    spacings of a node snap to it, so identity maps reproduce node values
-    exactly.
+    The block's output coordinates x map to sources s_inv (x - d), the other
+    axes riding along as rows; each row block of output points builds its
+    own sources, corner indices and weights and gathers from a view of the
+    samples. Sources within 1e-9 spacings of a node snap to it, so identity
+    maps reproduce node values exactly.
     """
     block_axes = [axes[j] for j in block]
-    mesh = np.meshgrid(*block_axes, indexing="ij")
-    src = (np.stack([m.ravel() for m in mesh], axis=1) - d) @ s_inv.T
-    m = src.shape[0]
-    idx, frac = [], []
-    inside = np.ones(m, dtype=bool)
-    for j, ax in enumerate(block_axes):
-        step = (ax[-1] - ax[0]) / (ax.size - 1)
-        f = (src[:, j] - ax[0]) / step
-        near = np.rint(f)
-        f = np.where(np.abs(f - near) < 1e-9, near, f)
-        inside &= (f >= 0.0) & (f <= ax.size - 1)
-        i0 = np.clip(np.floor(f).astype(np.int64), 0, ax.size - 2)
-        idx.append(i0)
-        frac.append(f - i0)
-
     lead = tuple(range(len(block)))
     moved = np.moveaxis(samples, block, lead)
+    shape = moved.shape[: len(block)]
+    m = int(np.prod(shape))
     out = np.zeros((m,) + moved.shape[len(block):])
-    # corners are gathered straight from the view, one row block of output
-    # points at a time, so no full-size copy or gather of the samples is made
-    chunks = row_blocks((m, samples.size // m))
-    for corner in product((0, 1), repeat=len(block)):
-        w = inside.astype(float)
-        for j, bit in enumerate(corner):
-            w *= frac[j] if bit else 1.0 - frac[j]
-        corner_idx = [i + bit for i, bit in zip(idx, corner)]
-        for sl in chunks:
-            gathered = moved[tuple(ci[sl] for ci in corner_idx)]
-            gathered *= w[sl].reshape((-1,) + (1,) * (gathered.ndim - 1))
+    for sl in row_blocks((m, samples.size // m)):
+        ij = np.unravel_index(np.arange(sl.start, min(sl.stop, m)), shape)
+        src = (np.stack([ax[i] for ax, i in zip(block_axes, ij)], axis=1) - d) @ s_inv.T
+        idx, frac = [], []
+        inside = np.ones(src.shape[0], dtype=bool)
+        for j, ax in enumerate(block_axes):
+            step = (ax[-1] - ax[0]) / (ax.size - 1)
+            f = (src[:, j] - ax[0]) / step
+            near = np.rint(f)
+            f = np.where(np.abs(f - near) < 1e-9, near, f)
+            inside &= (f >= 0.0) & (f <= ax.size - 1)
+            i0 = np.clip(np.floor(f).astype(np.int64), 0, ax.size - 2)
+            idx.append(i0)
+            frac.append(f - i0)
+        for corner in product((0, 1), repeat=len(block)):
+            w = inside.astype(float)
+            for j, bit in enumerate(corner):
+                w *= frac[j] if bit else 1.0 - frac[j]
+            gathered = moved[tuple(i + bit for i, bit in zip(idx, corner))]
+            gathered *= w.reshape((-1,) + (1,) * (gathered.ndim - 1))
             out[sl] += gathered
     return np.moveaxis(out.reshape(moved.shape), lead, block)
 

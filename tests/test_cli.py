@@ -324,6 +324,19 @@ class TestDistillCommand:
         assert stdout_value(out, "post_fid") > 0.0
         assert path.read_text().splitlines()[-1].startswith("# avg_fid=")
 
+    def test_window_past_the_samples_reports_the_clipped_window(self, capsys, tmp_path):
+        # the default outcomes span [-6, 6], so -100 is clipped to -6
+        wide, exact = tmp_path / "wide.csv", tmp_path / "exact.csv"
+        rc, out_wide, _ = run(capsys, self.BASE + ["--window", "-100", "0", "--out", str(wide)])
+        assert rc == 0
+        rc, out_exact, _ = run(capsys, self.BASE + ["--window", "-6", "0", "--out", str(exact)])
+        assert rc == 0
+        assert "window=[-6.000000,0.000000]" in out_wide
+        assert stdout_value(out_wide, "P_suc") == stdout_value(out_exact, "P_suc")
+        footer = wide.read_text().splitlines()[-1]
+        assert "window=[-6.000000000000e+00,0.000000000000e+00]" in footer
+        assert wide.read_bytes() == exact.read_bytes()
+
     def test_output_deterministic(self, capsys, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         assert main(self.BASE + ["--psuc", "1.0", "--out", str(p1)]) == 0
@@ -368,6 +381,23 @@ class TestStudy:
         assert "window=[-3.000000,3.000000]" in out
         assert stdout_value(out, "fid_ratio") > 0.0
         assert "rows=2" in out
+
+    def test_unusable_outdir_fails_before_any_work(self, capsys, tmp_path, monkeypatch):
+        def worked(*args, **kwargs):
+            raise AssertionError("the study ran before --outdir was checked")
+
+        monkeypatch.setattr(cli, "_run_sweep", worked)
+        monkeypatch.setattr(cli, "_write_curve", worked)
+        monkeypatch.setattr(cli, "_state_row", worked)
+        existing = tmp_path / "taken"
+        existing.write_text("")
+        for path in (existing, existing / "sub"):
+            rc, out, err = run(capsys, ["study", "bound", "--outdir", str(path)])
+            assert rc == 2
+            assert err.startswith("error:") and str(path) in err
+            assert len(err.splitlines()) == 1 and "Traceback" not in err
+            assert out == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
 
     def test_unknown_study_is_usage_error(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:

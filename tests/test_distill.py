@@ -355,6 +355,28 @@ class TestSweep:
         # selective average over everything cannot beat the input
         assert out.avg_neg <= out.ini_neg * 1.01
 
+    @pytest.mark.parametrize(
+        "requested,clipped",
+        [((-100.0, 0.0), (-3.0, 0.0)), ((0.5, 100.0), (0.5, 3.0))],
+        ids=["below", "above"],
+    )
+    def test_window_past_the_samples_is_clipped(self, requested, clipped):
+        # only the sampled outcomes are integrated, so the outcome reports
+        # the clipped window and the same aggregates as asking for it
+        grid = ws.build_grid(-10, 10, 129, -16, 16, 257)
+
+        def sweep(window):
+            return distill_sweep(DistillationConfig(
+                input=CubicPhase(0.05, 0.0, 0.3), t=0.9,
+                p_v_samples=np.linspace(-3, 3, 7), window=window, input_grid=grid,
+            ))
+
+        wide, exact = sweep(requested), sweep(clipped)
+        assert wide.window == clipped
+        assert (wide.P_suc, wide.avg_neg, wide.post_neg) == (
+            exact.P_suc, exact.avg_neg, exact.post_neg
+        )
+
     def test_records_cover_samples(self, small_sweep):
         assert len(small_sweep.records) == 33
         assert all(r.density >= 0 for r in small_sweep.records)

@@ -341,3 +341,34 @@ class TestCsvRoundTrip:
         write_field_csv(w, p1)
         write_field_csv(w, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "caller",
+    [
+        "wigner_from_fock", "wigner_from_wavefunction", "fidelity_to_pure",
+        "number_state_wigner", "on_state_wigner", "cubic_phase_wigner",
+        "photon_mod_wigner", "mean_photon_numeric", "distill_conditional",
+    ],
+)
+def test_single_mode_callers_raise_one_typed_error(caller):
+    g = ws.build_grid(-4, 4, 9, -4, 4, 9)
+    pair = tensor_product(ws.vacuum_wigner(g), ws.vacuum_wigner(g))
+    two = pair.grid
+    call = {
+        "wigner_from_fock": lambda: ws.wigner_from_fock(
+            ws.fock_density(ws.Number(1), 4), two
+        ),
+        "wigner_from_wavefunction": lambda: wigner_from_wavefunction(
+            lambda q: np.exp(-q * q / 4), two
+        ),
+        "fidelity_to_pure": lambda: ws.fidelity_to_pure(pair, pair),
+        "number_state_wigner": lambda: ws.number_state_wigner(1, two),
+        "on_state_wigner": lambda: ws.on_state_wigner(1, 0.5, two),
+        "cubic_phase_wigner": lambda: ws.cubic_phase_wigner(0.05, 0.0, 0.5, two),
+        "photon_mod_wigner": lambda: ws.photon_mod_wigner(1, 0.5, 0.0, two),
+        "mean_photon_numeric": lambda: ws.mean_photon_numeric(pair),
+        "distill_conditional": lambda: ws.distill_conditional(pair, 0.9, 0.0),
+    }[caller]
+    with pytest.raises(ws.GridMismatchError, match="is single-mode"):
+        call()

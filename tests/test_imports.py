@@ -45,3 +45,26 @@ def test_no_private_imports_across_modules():
     # needs a public one
     found = {path.name: private_imports(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def dense_meshgrids(source: str) -> list:
+    """Line numbers of np.meshgrid calls that do not pass sparse=True."""
+    tree = ast.parse(source)
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "meshgrid"
+        and not any(
+            kw.arg == "sparse" and getattr(kw.value, "value", None) is True
+            for kw in node.keywords
+        )
+    ]
+
+
+def test_meshgrids_are_sparse():
+    # a dense meshgrid holds one array per axis at full field size; blocked
+    # loops build their coordinates from open meshes or row-block indices
+    found = {path.name: dense_meshgrids(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}

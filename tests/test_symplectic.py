@@ -207,22 +207,37 @@ class TestApplySymplectic:
         with pytest.raises(ws.GridMismatchError):
             apply_symplectic(vacuum_wigner(grid_tiny), sym_beamsplitter(0.5))
 
-    def test_beamsplitter_peak_memory(self):
-        # the output plus one joint-sized temporary: corners are gathered in
-        # chunks from a view of the samples, and the output is handed to
-        # the field without a copy
-        g = ws.build_grid(-8, 8, 41, -8, 8, 41)
-        joint = tensor_product(number_state_wigner(1, g), vacuum_wigner(g))
+    @pytest.mark.parametrize("case", ["beamsplitter", "rotation", "rotation_beamsplitter"])
+    def test_beamsplitter_peak_memory(self, case):
+        # the output plus one joint-sized temporary, whatever S couples: each
+        # row block of output points builds its own sources, corner indices
+        # and weights and gathers from a view of the samples, and the output
+        # is handed to the field without a copy. The 4-D block runs on 33^4:
+        # on 25^4 the temporaries of one 2^15-point row block of four axes
+        # alone come to about two fields.
+        two = ws.build_grid(-8, 8, 41, -8, 8, 41)
+        small = ws.build_grid(-6, 6, 33, -6, 6, 33)
+        field, op = {
+            "beamsplitter": (
+                tensor_product(number_state_wigner(1, two), vacuum_wigner(two)),
+                sym_beamsplitter(0.9),
+            ),
+            "rotation": (number_state_wigner(1, ws.default_grid()), sym_rotate(0.6)),
+            "rotation_beamsplitter": (
+                tensor_product(number_state_wigner(1, small), vacuum_wigner(small)),
+                compose(sym_beamsplitter(0.9), mode0_rotation(0.5)),
+            ),
+        }[case]
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            out = apply_symplectic(joint, sym_beamsplitter(0.9))
+            out = apply_symplectic(field, op)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert out.samples.shape == joint.samples.shape
-        assert peak <= 2.5 * joint.samples.nbytes
+        assert out.samples.shape == field.samples.shape
+        assert peak <= 2.5 * field.samples.nbytes
 
 
 class TestHomodyne:
