@@ -14,10 +14,11 @@ post-beam-splitter field by substituting w for the ancilla position.
 Each outcome's field lives on its own lattice: the input q-axis, and the
 image of the input p-axis, p_j = (p_in,j + sqrt(1-t) p_v) / sqrt(t), on
 which p' lands exactly on the input columns. The Gaussian w-kernel does not
-depend on p_v, so a sweep blurs the input once (one matrix product,
-B = K @ W_in) and each outcome is raw = B * G(p_j), column for column, with
-nothing interpolated. The outcome density is the integral of raw; dividing
-by it normalizes the conditional state.
+depend on p_v, so a sweep blurs the input once, B = K @ W_in (banded), and
+each outcome is raw = B * G(p_j), column for column, with nothing
+interpolated. As G depends on p alone, the outcome density (which normalizes
+the conditional state) and l1 = integral |raw| are the q-integrals of B and
+|B| dotted with G times the p-weights, and N_L = ln(l1 / density).
 
 Postselection keeps a contiguous outcome window [p-, p+]. Over a window,
 P_suc integrates the density, avg_neg integrates density * negativity, and
@@ -46,14 +47,18 @@ from .grids import (
     WignerField,
     build_grid,
     integrate_samples,
+    row_blocks,
     trapezoid_weights,
     wigner_from_wavefunction,
 )
-from .monotones import fidelity_to_pure, log_negativity
+from .monotones import fidelity_to_pure, log_negativity, log_negativity_of_l1
 from .states import CubicPhase, cubic_phase_wigner, resource_wigner
 from .symplectic import EPS_COND
 
 DEFAULT_TRANSMITTANCE = 0.95
+
+# the blur's kernel is 2^-106 of its peak at |q - sqrt(t) w| = sqrt(2 (1-t) _BAND_DEPTH)
+_BAND_DEPTH = 106.0 * np.log(2.0)
 
 
 def default_protocol_grid() -> PhaseSpaceGrid:
@@ -67,12 +72,13 @@ def default_outcome_samples() -> np.ndarray:
 
 @dataclass(frozen=True)
 class OutcomeRecord:
-    """One homodyne outcome: its density, output negativity, and fidelity."""
+    """One homodyne outcome: density, N_L, fidelity, l1 = integral |raw|."""
 
     p_v: float
     density: float
     neg: float
     fid: float | None = None
+    l1: float | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,24 +107,18 @@ class DistillationConfig:
     def __post_init__(self):
         if not 0.0 < self.t < 1.0:
             raise ValueError("transmittance must lie strictly inside (0, 1)")
-        samples = (
-            default_outcome_samples()
-            if self.p_v_samples is None
-            else np.asarray(self.p_v_samples, dtype=float)
-        )
+        given = self.p_v_samples
+        samples = default_outcome_samples() if given is None else np.array(given, dtype=float)
         if samples.ndim != 1 or samples.size < 2:
             raise ValueError("p_v_samples must hold at least 2 values")
         if not np.all(np.isfinite(samples)) or np.any(np.diff(samples) <= 0):
             raise ValueError("p_v_samples must be finite and strictly increasing")
-        samples = samples.copy()
         samples.setflags(write=False)
         object.__setattr__(self, "p_v_samples", samples)
         if self.window is not None and self.target_P_suc is not None:
             raise ValueError("give either a window or a target_P_suc, not both")
-        if self.window is not None:
-            lo, hi = self.window
-            if not lo < hi:
-                raise ValueError("window must satisfy p- < p+")
+        if self.window is not None and not self.window[0] < self.window[1]:
+            raise ValueError("window must satisfy p- < p+")
         if self.target_P_suc is not None and not 0.0 < self.target_P_suc <= 1.0:
             raise ValueError("target_P_suc must lie in (0, 1]")
         if self.s_targ is not None and not 0.0 <= self.s_targ < np.inf:
@@ -143,46 +143,60 @@ class DistillationOutcome:
             raise ValueError("outcome densities must be nonnegative")
         if not -1e-12 <= self.P_suc <= 1.0 + TOL_NORM:
             raise ValueError(f"P_suc={self.P_suc:.6f} outside [0, 1+tol]")
-        lo, hi = self.window
-        if not lo < hi:
+        if not self.window[0] < self.window[1]:
             raise ValueError("window must satisfy p- < p+")
+
+
+def _blur_rows(field: WignerField, t: float):
+    """(rows, B[rows]) of B = K @ W by row blocks, each over its band of W's rows."""
+    field.grid.require_single_mode("the distillation conditional")
+    if not field.normalized:
+        raise UnnormalizedFieldError("distillation input must be normalized")
+    if not 0.0 < t < 1.0:
+        raise ValueError("transmittance must lie strictly inside (0, 1)")
+    q = field.grid.axes[0]
+    var2, src = 2.0 * (1.0 - t), np.sqrt(t) * q
+    reach = np.sqrt(var2 * _BAND_DEPTH)
+    weights = trapezoid_weights(q) / (2.0 * np.pi * np.sqrt(1.0 - t))
+    for rows in row_blocks(field.samples.shape):
+        lo, hi = np.searchsorted(src, q[rows][[0, -1]] + [-reach, reach])
+        diff = q[rows, None] - src[lo:hi]
+        yield rows, (np.exp(-diff * diff / var2) * weights[lo:hi]) @ field.samples[lo:hi]
+
+
+def _image_lattice(p_in, t: float, p_v: float) -> tuple:
+    """Outcome p_v's p-lattice p_j and the ancilla factor G(p_j) on it."""
+    p_out = (p_in + np.sqrt(1.0 - t) * p_v) / np.sqrt(t)
+    return p_out, np.exp(-0.5 * (np.sqrt(t) * p_v + np.sqrt(1.0 - t) * p_out) ** 2)
+
+
+def _check_density(density: float, p_v: float) -> None:
+    if density < EPS_COND:
+        msg = f"outcome density {density:.3e} at p_v={p_v:.3f} below {EPS_COND:.0e}"
+        raise DegenerateConditioningError(msg)
 
 
 class _Conditional:
     """The conditional protocol for one input field and transmittance.
 
-    The blurred input B = K @ W (K the Gaussian w-kernel with trapezoid
-    weights) is built once. Outcome p_v's field lives on its own lattice,
-    the input q-axis by the image p_j of the input p-axis, where p' is the
-    input's own p_j, so raw = B * G(p_j) with nothing gathered or clipped.
+    B = K @ W is built once, from _blur_rows. Outcome p_v's field lives on
+    its own lattice, the input q-axis by the image p_j of the input p-axis,
+    so raw = B * G(p_j) with nothing gathered.
     """
 
     def __init__(self, field: WignerField, t: float):
-        field.grid.require_single_mode("the distillation conditional")
-        if not field.normalized:
-            raise UnnormalizedFieldError("distillation input must be normalized")
-        if not 0.0 < t < 1.0:
-            raise ValueError("transmittance must lie strictly inside (0, 1)")
-        rt, rr = np.sqrt(t), np.sqrt(1.0 - t)
-        self._rt, self._rr = rt, rr
-        self._q, self._p_in = field.grid.axes
-        diff = self._q[:, None] - rt * self._q[None, :]
-        kernel = np.exp(-diff * diff / (2.0 * (1.0 - t))) / (2.0 * np.pi * rr)
-        kernel *= trapezoid_weights(self._q)[None, :]
-        self._blurred = kernel @ field.samples
+        self._blurred = np.empty(field.samples.shape)
+        for rows, block in _blur_rows(field, t):  # checks field and t first
+            self._blurred[rows] = block
+        self._t, (self._q, self._p_in) = t, field.grid.axes
 
     def __call__(self, p_v: float) -> tuple:
         """Normalized output field and outcome density for outcome p_v."""
-        rt, rr = self._rt, self._rr
-        p_out = (self._p_in + rr * p_v) / rt
+        p_out, g = _image_lattice(self._p_in, self._t, p_v)
         grid = PhaseSpaceGrid(axes=(self._q, p_out))
-        raw = self._blurred * np.exp(-0.5 * (rt * p_v + rr * p_out) ** 2)
+        raw = self._blurred * g
         density = integrate_samples(raw, grid.axes)
-        if density < EPS_COND:
-            raise DegenerateConditioningError(
-                f"outcome density {density:.3e} at p_v={p_v:.3f} "
-                f"below {EPS_COND:.0e}"
-            )
+        _check_density(density, p_v)
         raw /= density
         raw.setflags(write=False)  # handed over, so the field keeps it uncopied
         field = WignerField(grid=grid, samples=raw, normalized=True)
@@ -257,47 +271,44 @@ def distill_sweep(config: DistillationConfig) -> DistillationOutcome:
     if config.s_targ is not None and not isinstance(config.input, CubicPhase):
         raise ValueError("fidelity tracking needs gamma for non-cubic inputs")
 
-    if isinstance(config.input, WignerField):
-        grid_in = config.input.grid
-    else:
-        grid_in = (
-            default_protocol_grid() if config.input_grid is None else config.input_grid
-        )
+    given = config.input if isinstance(config.input, WignerField) else None
+    grid_in = given.grid if given else config.input_grid or default_protocol_grid()
     if config.output_grid is not None and config.output_grid != grid_in:
         raise GridMismatchError(
             "each outcome has its own lattice over the input grid; "
             "output_grid may only repeat the input grid"
         )
-    field = (
-        config.input
-        if isinstance(config.input, WignerField)
-        else resource_wigner(config.input, grid_in)
-    )
-    conditional = _Conditional(field, config.t)
+    field = given or resource_wigner(config.input, grid_in)
     ini_neg = log_negativity(field)
 
-    target = None
+    # one blur, kept whole only where fidelity needs each outcome's field
+    q_in, p_in = grid_in.axes
+    blocks, target = _blur_rows(field, config.t), None
     if config.s_targ is not None:
         # the target shifted to P' = sqrt((1-t)/t) p_v, on outcome p_v's
         # lattice, is the unshifted target at (q_in, p_in / sqrt(t))
-        q_in, p_in = grid_in.axes
         target = cubic_phase_wigner(
             config.input.gamma, 0.0, config.s_targ,
             PhaseSpaceGrid(axes=(q_in, p_in / np.sqrt(config.t))),
         )
+        conditional = _Conditional(field, config.t)
+        blocks = ((rows, conditional._blurred[rows]) for rows in row_blocks(grid_in.shape))
+    # density and l1: the q-integrals of B and |B| dotted with G(p_j) w_p,j
+    columns = np.zeros((2, p_in.size))
+    for rows, block in blocks:
+        columns += trapezoid_weights(q_in)[rows] @ np.array([block, np.abs(block)])
+    w_p = trapezoid_weights(p_in) / np.sqrt(config.t)
 
     records = []
     for p_v in config.p_v_samples.tolist():
-        out_field, density = conditional(p_v)
-        neg = log_negativity(out_field)
+        density, l1 = (columns @ (_image_lattice(p_in, config.t, p_v)[1] * w_p)).tolist()
+        _check_density(density, p_v)
         fid = None
         if target is not None:
-            on_lattice = WignerField(
-                grid=out_field.grid, samples=target.samples,
-                normalized=target.normalized,
-            )
+            out_field = conditional(p_v)[0]
+            on_lattice = WignerField(out_field.grid, target.samples, target.normalized)
             fid = fidelity_to_pure(out_field, on_lattice)
-        records.append(OutcomeRecord(p_v=p_v, density=density, neg=neg, fid=fid))
+        records.append(OutcomeRecord(p_v, density, log_negativity_of_l1(l1 / density), fid, l1))
 
     xs = config.p_v_samples
     if config.window is not None:

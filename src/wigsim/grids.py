@@ -417,14 +417,20 @@ def read_field_csv(path) -> WignerField:
     n_axes = data.shape[1] - 1
     if n_axes < 2 or n_axes % 2 != 0:
         raise ValueError("unexpected CSV column count")
-    grid = PhaseSpaceGrid(axes=tuple(np.unique(data[:, j]) for j in range(n_axes)))
-    mesh = grid.open_mesh()
+    axes, stride = [], 1
+    for j in reversed(range(n_axes)):  # axis j: its column's leading run at stride
+        column = data[::stride, j]
+        axes.insert(0, column[: np.argmax(np.append(column[1:] <= column[:-1], True)) + 1])
+        stride *= axes[0].size
+    shape = tuple(ax.size for ax in axes)
+    mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
     # each coordinate column, viewed on the grid, against its broadcast axis
-    if data.shape[0] != math.prod(grid.shape) or not all(
-        np.allclose(want, data[:, j].reshape(grid.shape)[block], atol=0, rtol=1e-12)
-        for block in row_blocks(grid.shape)
+    if data.shape[0] != stride or not all(
+        np.allclose(want, data[:, j].reshape(shape)[block], atol=0, rtol=1e-12)
+        for block in row_blocks(shape)
         for j, want in enumerate(_rows(mesh, block))
     ):
         raise ValueError("CSV rows are not a row-major grid enumeration")
+    grid = PhaseSpaceGrid(axes=tuple(axes))
     samples = data[:, -1].reshape(grid.shape)
     return field_from_samples(grid, samples)

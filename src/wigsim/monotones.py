@@ -19,16 +19,19 @@ from .grids import TOL_NORM, WignerField, integrate_samples, overlap_trace
 
 
 def log_negativity(field: WignerField) -> float:
-    """N_L = ln integral |W|; requires a normalized field.
-
-    For a normalized field the integral of |W| is >= integral of W, so the
-    true value cannot fall below ln(1 - TOL_NORM). Tiny negative results are
-    quadrature noise and are clamped to 0 with a diagnostic. |W| is taken
-    one row block at a time inside the integral, never on the whole field.
-    """
+    """N_L = ln integral |W| of a normalized field, |W| taken in row blocks."""
     if not field.normalized:
         raise UnnormalizedFieldError("log_negativity needs a normalized field")
     total = integrate_samples(field.samples, field.grid.axes, pointwise=np.abs)
+    return log_negativity_of_l1(total)
+
+
+def log_negativity_of_l1(total: float) -> float:
+    """N_L = ln total, for total the integral of |W| of a normalized field.
+
+    total >= integral W, so N_L cannot truly fall below ln(1 - TOL_NORM);
+    tiny negative results are quadrature noise, clamped to 0 with a warning.
+    """
     value = float(np.log(total))
     if value < 0.0:
         if value < -2.0 * TOL_NORM:
@@ -37,7 +40,7 @@ def log_negativity(field: WignerField) -> float:
             )
         warnings.warn(
             f"clamping log-negativity {value:.2e} to 0 (quadrature noise)",
-            stacklevel=2,
+            stacklevel=3,
         )
         return 0.0
     return value

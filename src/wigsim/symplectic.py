@@ -160,7 +160,7 @@ def _resample_block(
     moved = np.moveaxis(samples, block, lead)
     shape = moved.shape[: len(block)]
     m = int(np.prod(shape))
-    out = np.zeros((m,) + moved.shape[len(block):])
+    out = np.zeros(moved.shape)
     for sl in row_blocks((m, samples.size // m)):
         ij = np.unravel_index(np.arange(sl.start, min(sl.stop, m)), shape)
         src = (np.stack([ax[i] for ax, i in zip(block_axes, ij)], axis=1) - d) @ s_inv.T
@@ -181,8 +181,8 @@ def _resample_block(
                 w *= frac[j] if bit else 1.0 - frac[j]
             gathered = moved[tuple(i + bit for i, bit in zip(idx, corner))]
             gathered *= w.reshape((-1,) + (1,) * (gathered.ndim - 1))
-            out[sl] += gathered
-    return np.moveaxis(out.reshape(moved.shape), lead, block)
+            out.reshape((m,) + moved.shape[len(block):])[sl] += gathered
+    return out if block == lead else np.moveaxis(out, lead, block)
 
 
 def apply_symplectic(field: WignerField, op: SymplecticOp) -> WignerField:

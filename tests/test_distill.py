@@ -132,6 +132,26 @@ class TestConditional:
         assert abs(dens - density) <= 1e-12 * density
         assert np.max(np.abs(out.samples * dens - raw)) <= 1e-12 * scale
 
+    @pytest.mark.parametrize("t", [0.5, 0.9, 0.99])
+    def test_banded_blur_matches_dense_kernel(self, t):
+        # on +-16 the band (reach 8.6 at t = 0.5, 1.2 at t = 0.99) leaves out
+        # most of the kernel; with 1025 p-points a row block spans 2 in q, and
+        # mass at both q edges sits under the band edges of many blocks
+        g = ws.build_grid(-16, 16, 513, -6, 6, 1025)
+        q, p = g.axes
+        samples = (np.exp(-((q[:, None] - 15.0) ** 2) - p[None, :] ** 2)
+                   + np.exp(-((q[:, None] + 14.5) ** 2) / 0.5 - p[None, :] ** 2))
+        field = ws.renormalize(ws.WignerField(grid=g, samples=samples, normalized=False))
+        rt, rr = np.sqrt(t), np.sqrt(1.0 - t)
+        dq = q[1] - q[0]
+        trap = np.full(q.size, dq)
+        trap[[0, -1]] = dq / 2.0
+        diff = q[:, None] - rt * q[None, :]
+        kernel = np.exp(-diff * diff / (2.0 * (1.0 - t))) * trap / (2.0 * np.pi * rr)
+        dense = kernel @ field.samples
+        banded = _Conditional(field, t)._blurred
+        assert np.max(np.abs(banded - dense)) <= 1e-14 * np.max(np.abs(dense))
+
     def test_holds_no_interpolation_arrays(self):
         # the conditional keeps the blurred input and the input axes only:
         # no gather indices, interpolation weights or off-grid masks
@@ -429,12 +449,47 @@ class TestSweep:
         def no_outcome(*args):
             raise AssertionError("an outcome was computed")
 
-        monkeypatch.setattr(distill, "_Conditional", no_outcome)
+        monkeypatch.setattr(distill, "_blur_rows", no_outcome)
         for grid in (ws.build_grid(-8, 8, 161, -9, 9, 161),
                      ws.build_grid(-8, 8, 161, -8, 8, 163)):
             config = DistillationConfig(input=vac, t=0.9, output_grid=grid)
             with pytest.raises(ws.GridMismatchError):
                 distill_sweep(config)
+
+    def test_records_come_from_columns_alone(self, monkeypatch, grid_small):
+        # without fidelity tracking a sweep blurs once and never builds an
+        # outcome's field: one N_L integral (the input's), no overlap, no
+        # conditional; each record's l1 is density * exp(N_L)
+        calls = {"log_negativity": 0, "fidelity_to_pure": 0}
+
+        def counted(name):
+            original = getattr(distill, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+            return wrapper
+
+        def no_field(*args):
+            raise AssertionError("an outcome field was built")
+
+        for name in calls:
+            monkeypatch.setattr(distill, name, counted(name))
+        monkeypatch.setattr(distill, "_Conditional", no_field)
+        field = ws.renormalize(ws.cubic_phase_wigner(0.05, 0.0, 0.3, grid_small))
+        out = distill_sweep(DistillationConfig(
+            input=field, t=0.9, p_v_samples=np.linspace(-3, 3, 7),
+        ))
+        assert calls == {"log_negativity": 1, "fidelity_to_pure": 0}
+        for rec in out.records:
+            assert rec.l1 == pytest.approx(rec.density * np.exp(rec.neg), rel=1e-14)
+
+    def test_far_outcome_raises_naming_it(self, grid_small):
+        config = DistillationConfig(
+            input=vacuum_wigner(grid_small), t=0.9, p_v_samples=np.array([0.0, 60.0]),
+        )
+        with pytest.raises(ws.DegenerateConditioningError, match="at p_v=60.000 below"):
+            distill_sweep(config)
 
     def test_csv_deterministic(self, small_sweep, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"

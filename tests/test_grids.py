@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -333,6 +334,24 @@ class TestCsvRoundTrip:
         path.write_text("\n".join([header, *rows]) + "\n")
         with pytest.raises(ValueError, match="not a row-major grid enumeration"):
             read_field_csv(path)
+
+    def test_read_peak_memory(self, tmp_path):
+        # the parsed table is three field sizes and the field one more; the
+        # axes come from strided runs of the table, not a sort of its columns
+        g = ws.build_grid(-10, 10, 385, -16, 16, 769)
+        field = ws.number_state_wigner(1, g)
+        path = tmp_path / "field.csv"
+        write_field_csv(field, path)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            back = read_field_csv(path)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert back.grid.shape == g.shape
+        assert peak <= 4.3 * field.samples.nbytes
 
     def test_write_is_deterministic(self, tmp_path):
         g = ws.build_grid(-6, 6, 41, -6, 6, 41)

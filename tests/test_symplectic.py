@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import wigsim as ws
-from wigsim import OutOfDomainError, UnnormalizedFieldError
+from wigsim import OutOfDomainError, symplectic, UnnormalizedFieldError
 from wigsim.grids import field_from_samples, integrate_full, tensor_product
 from wigsim.states import (
     GaussianStateParams,
@@ -18,6 +18,7 @@ from wigsim.states import (
 from wigsim.symplectic import (
     SymplecticOp,
     _blocks,
+    _resample_block,
     apply_symplectic,
     compose,
     condition_on_homodyne,
@@ -238,6 +239,21 @@ class TestApplySymplectic:
             tracemalloc.stop()
         assert out.samples.shape == field.samples.shape
         assert peak <= 2.5 * field.samples.nbytes
+
+    def test_rotation_output_is_not_copied(self, monkeypatch):
+        # a block over every axis leaves them in place, so the resampled
+        # array itself becomes the field's samples
+        returned = []
+
+        def recorded(*args):
+            returned.append(_resample_block(*args))
+            return returned[-1]
+
+        monkeypatch.setattr(symplectic, "_resample_block", recorded)
+        g = ws.build_grid(-8, 8, 257, -8, 8, 257)
+        out = apply_symplectic(number_state_wigner(1, g), sym_rotate(0.6))
+        assert len(returned) == 1
+        assert out.samples is returned[0]
 
 
 class TestHomodyne:
