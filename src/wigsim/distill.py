@@ -14,11 +14,12 @@ post-beam-splitter field by substituting w for the ancilla position.
 Each outcome's field lives on its own lattice: the input q-axis, and the
 image of the input p-axis, p_j = (p_in,j + sqrt(1-t) p_v) / sqrt(t), on
 which p' lands exactly on the input columns. The Gaussian w-kernel does not
-depend on p_v, so a sweep blurs the input once, B = K @ W_in (banded), and
+depend on p_v, so the input is blurred once, B = K @ W_in (banded), and
 each outcome is raw = B * G(p_j), column for column, with nothing
-interpolated. As G depends on p alone, the outcome density (which normalizes
-the conditional state) and l1 = integral |raw| are the q-integrals of B and
-|B| dotted with G times the p-weights, and N_L = ln(l1 / density).
+interpolated. As G depends on p alone, every outcome (of a sweep or of
+distill_conditional) takes its density, which normalizes the conditional
+state, and l1 = integral |raw| from the q-integrals of B and |B| dotted with
+G times the p-weights; N_L = ln(l1 / density). Its field is built on demand.
 
 Postselection keeps a contiguous outcome window [p-, p+]. Over a window,
 P_suc integrates the density, avg_neg integrates density * negativity, and
@@ -46,7 +47,6 @@ from .grids import (
     PhaseSpaceGrid,
     WignerField,
     build_grid,
-    integrate_samples,
     row_blocks,
     trapezoid_weights,
     wigner_from_wavefunction,
@@ -117,8 +117,10 @@ class DistillationConfig:
         object.__setattr__(self, "p_v_samples", samples)
         if self.window is not None and self.target_P_suc is not None:
             raise ValueError("give either a window or a target_P_suc, not both")
-        if self.window is not None and not self.window[0] < self.window[1]:
-            raise ValueError("window must satisfy p- < p+")
+        if self.window is not None and not (
+            len(self.window) == 2 and self.window[0] < self.window[1]
+        ):
+            raise ValueError("window must be a pair (p-, p+) with p- < p+")
         if self.target_P_suc is not None and not 0.0 < self.target_P_suc <= 1.0:
             raise ValueError("target_P_suc must lie in (0, 1]")
         if self.s_targ is not None and not 0.0 <= self.s_targ < np.inf:
@@ -147,8 +149,8 @@ class DistillationOutcome:
             raise ValueError("window must satisfy p- < p+")
 
 
-def _blur_rows(field: WignerField, t: float):
-    """(rows, B[rows]) of B = K @ W by row blocks, each over its band of W's rows."""
+def _blur(field: WignerField, t: float, whole: bool) -> tuple:
+    """(w_q B, w_q |B|) of B = K @ W, banded by row blocks, and B itself if whole."""
     field.grid.require_single_mode("the distillation conditional")
     if not field.normalized:
         raise UnnormalizedFieldError("distillation input must be normalized")
@@ -157,55 +159,46 @@ def _blur_rows(field: WignerField, t: float):
     q = field.grid.axes[0]
     var2, src = 2.0 * (1.0 - t), np.sqrt(t) * q
     reach = np.sqrt(var2 * _BAND_DEPTH)
-    weights = trapezoid_weights(q) / (2.0 * np.pi * np.sqrt(1.0 - t))
+    w_q = trapezoid_weights(q)
+    weights = w_q / (2.0 * np.pi * np.sqrt(1.0 - t))
+    columns = np.zeros((2, field.samples.shape[1]))
+    blurred = np.empty(field.samples.shape) if whole else None
     for rows in row_blocks(field.samples.shape):
         lo, hi = np.searchsorted(src, q[rows][[0, -1]] + [-reach, reach])
         diff = q[rows, None] - src[lo:hi]
-        yield rows, (np.exp(-diff * diff / var2) * weights[lo:hi]) @ field.samples[lo:hi]
+        block = (np.exp(-diff * diff / var2) * weights[lo:hi]) @ field.samples[lo:hi]
+        columns += w_q[rows] @ np.array([block, np.abs(block)])
+        if whole:
+            blurred[rows] = block
+    return columns, blurred
 
 
-def _image_lattice(p_in, t: float, p_v: float) -> tuple:
-    """Outcome p_v's p-lattice p_j and the ancilla factor G(p_j) on it."""
+def _outcome(columns, p_in, t: float, p_v: float) -> tuple:
+    """Outcome p_v's lattice p_j, G(p_j), density and l1 from the columns."""
     p_out = (p_in + np.sqrt(1.0 - t) * p_v) / np.sqrt(t)
-    return p_out, np.exp(-0.5 * (np.sqrt(t) * p_v + np.sqrt(1.0 - t) * p_out) ** 2)
-
-
-def _check_density(density: float, p_v: float) -> None:
+    g = np.exp(-0.5 * (np.sqrt(t) * p_v + np.sqrt(1.0 - t) * p_out) ** 2)
+    density, l1 = (columns @ (g * (trapezoid_weights(p_in) / np.sqrt(t)))).tolist()
     if density < EPS_COND:
         msg = f"outcome density {density:.3e} at p_v={p_v:.3f} below {EPS_COND:.0e}"
         raise DegenerateConditioningError(msg)
+    return p_out, g, density, l1
 
 
-class _Conditional:
-    """The conditional protocol for one input field and transmittance.
-
-    B = K @ W is built once, from _blur_rows. Outcome p_v's field lives on
-    its own lattice, the input q-axis by the image p_j of the input p-axis,
-    so raw = B * G(p_j) with nothing gathered.
-    """
-
-    def __init__(self, field: WignerField, t: float):
-        self._blurred = np.empty(field.samples.shape)
-        for rows, block in _blur_rows(field, t):  # checks field and t first
-            self._blurred[rows] = block
-        self._t, (self._q, self._p_in) = t, field.grid.axes
-
-    def __call__(self, p_v: float) -> tuple:
-        """Normalized output field and outcome density for outcome p_v."""
-        p_out, g = _image_lattice(self._p_in, self._t, p_v)
-        grid = PhaseSpaceGrid(axes=(self._q, p_out))
-        raw = self._blurred * g
-        density = integrate_samples(raw, grid.axes)
-        _check_density(density, p_v)
-        raw /= density
-        raw.setflags(write=False)  # handed over, so the field keeps it uncopied
-        field = WignerField(grid=grid, samples=raw, normalized=True)
-        return field, float(density)
+def _outcome_field(q, blurred, p_out, g, density: float) -> WignerField:
+    """The normalized output field B * G(p_j) / density on the outcome's lattice."""
+    raw = blurred * g
+    raw /= density
+    raw.setflags(write=False)  # handed over, so the field keeps it uncopied
+    return WignerField(grid=PhaseSpaceGrid(axes=(q, p_out)), samples=raw, normalized=True)
 
 
 def distill_conditional(field: WignerField, t: float, p_v: float) -> tuple:
     """Conditional output state (on outcome p_v's lattice) and outcome density."""
-    return _Conditional(field, t)(p_v)
+    if not np.isfinite(p_v):
+        raise ValueError(f"p_v must be finite, got {p_v}")
+    columns, blurred = _blur(field, t, whole=True)
+    p_out, g, density, _ = _outcome(columns, field.grid.axes[1], t, p_v)
+    return _outcome_field(field.grid.axes[0], blurred, p_out, g, density), density
 
 
 def _segment_integral(xs, ys, lo, hi) -> float:
@@ -281,33 +274,23 @@ def distill_sweep(config: DistillationConfig) -> DistillationOutcome:
     field = given or resource_wigner(config.input, grid_in)
     ini_neg = log_negativity(field)
 
-    # one blur, kept whole only where fidelity needs each outcome's field
     q_in, p_in = grid_in.axes
-    blocks, target = _blur_rows(field, config.t), None
-    if config.s_targ is not None:
-        # the target shifted to P' = sqrt((1-t)/t) p_v, on outcome p_v's
-        # lattice, is the unshifted target at (q_in, p_in / sqrt(t))
-        target = cubic_phase_wigner(
-            config.input.gamma, 0.0, config.s_targ,
-            PhaseSpaceGrid(axes=(q_in, p_in / np.sqrt(config.t))),
-        )
-        conditional = _Conditional(field, config.t)
-        blocks = ((rows, conditional._blurred[rows]) for rows in row_blocks(grid_in.shape))
-    # density and l1: the q-integrals of B and |B| dotted with G(p_j) w_p,j
-    columns = np.zeros((2, p_in.size))
-    for rows, block in blocks:
-        columns += trapezoid_weights(q_in)[rows] @ np.array([block, np.abs(block)])
-    w_p = trapezoid_weights(p_in) / np.sqrt(config.t)
+    # the target shifted to P' = sqrt((1-t)/t) p_v, on outcome p_v's lattice,
+    # is the unshifted target at (q_in, p_in / sqrt(t))
+    target = None if config.s_targ is None else cubic_phase_wigner(
+        config.input.gamma, 0.0, config.s_targ,
+        PhaseSpaceGrid(axes=(q_in, p_in / np.sqrt(config.t))),
+    )
+    # one blur, kept whole only where fidelity needs each outcome's field
+    columns, blurred = _blur(field, config.t, whole=target is not None)
 
     records = []
     for p_v in config.p_v_samples.tolist():
-        density, l1 = (columns @ (_image_lattice(p_in, config.t, p_v)[1] * w_p)).tolist()
-        _check_density(density, p_v)
+        p_out, g, density, l1 = _outcome(columns, p_in, config.t, p_v)
         fid = None
         if target is not None:
-            out_field = conditional(p_v)[0]
-            on_lattice = WignerField(out_field.grid, target.samples, target.normalized)
-            fid = fidelity_to_pure(out_field, on_lattice)
+            out = _outcome_field(q_in, blurred, p_out, g, density)
+            fid = fidelity_to_pure(out, WignerField(out.grid, target.samples, target.normalized))
         records.append(OutcomeRecord(p_v, density, log_negativity_of_l1(l1 / density), fid, l1))
 
     xs = config.p_v_samples

@@ -32,6 +32,8 @@ def log_negativity_of_l1(total: float) -> float:
     total >= integral W, so N_L cannot truly fall below ln(1 - TOL_NORM);
     tiny negative results are quadrature noise, clamped to 0 with a warning.
     """
+    if not 0.0 < total < np.inf:  # nan fails this too
+        raise ArithmeticError(f"negativity integral {total} is not positive and finite")
     value = float(np.log(total))
     if value < 0.0:
         if value < -2.0 * TOL_NORM:

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -9,7 +10,7 @@ import wigsim as ws
 from wigsim import distill
 from wigsim.distill import (
     DistillationConfig,
-    _Conditional,
+    _blur,
     _segment_integral,
     OutcomeRecord,
     default_protocol_grid,
@@ -63,6 +64,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             DistillationConfig(input=CubicPhase(0.05, 0.0, 0.5), window=(2.0, -2.0))
 
+    @pytest.mark.parametrize("window", [(-1.0, 1.0, 5.0), (1.0,)])
+    def test_window_must_be_a_pair(self, window):
+        with pytest.raises(ValueError, match="window"):
+            DistillationConfig(input=CubicPhase(0.05, 0.0, 0.5), window=window)
+
     def test_fidelity_on_plain_field_needs_gamma(self, grid_small):
         cfg = DistillationConfig(
             input=vacuum_wigner(grid_small),
@@ -98,6 +104,16 @@ class TestConditional:
         half = field_from_samples(grid_small, vacuum_wigner(grid_small).samples / 2)
         with pytest.raises(ws.UnnormalizedFieldError):
             distill_conditional(half, 0.9, 0.0)
+
+    @pytest.mark.parametrize("p_v", [np.nan, np.inf, -np.inf])
+    def test_non_finite_outcome_refused_before_the_blur(self, monkeypatch, p_v):
+        def no_blur(*args):
+            raise AssertionError("the input was blurred")
+
+        monkeypatch.setattr(distill, "_blur", no_blur)
+        vac = vacuum_wigner(ws.build_grid(-6, 6, 49, -5, 5, 41))
+        with pytest.raises(ValueError, match="p_v"):
+            distill_conditional(vac, 0.9, p_v)
 
     def test_matches_plain_numpy_formula(self):
         # the module docstring's formula in its written order on the image
@@ -149,17 +165,16 @@ class TestConditional:
         diff = q[:, None] - rt * q[None, :]
         kernel = np.exp(-diff * diff / (2.0 * (1.0 - t))) * trap / (2.0 * np.pi * rr)
         dense = kernel @ field.samples
-        banded = _Conditional(field, t)._blurred
+        banded = _blur(field, t, whole=True)[1]
         assert np.max(np.abs(banded - dense)) <= 1e-14 * np.max(np.abs(dense))
 
     def test_holds_no_interpolation_arrays(self):
-        # the conditional keeps the blurred input and the input axes only:
+        # the blur hands back the (c, a) columns and the blurred input only:
         # no gather indices, interpolation weights or off-grid masks
         g = ws.build_grid(-6, 6, 49, -5, 5, 41)
-        cond = _Conditional(vacuum_wigner(g), 0.9)
-        arrays = {k: v for k, v in vars(cond).items() if isinstance(v, np.ndarray)}
-        assert sorted(v.shape for v in arrays.values()) == [(41,), (49,), (49, 41)]
-        assert all(v.dtype == np.float64 for v in arrays.values())
+        arrays = _blur(vacuum_wigner(g), 0.9, whole=True)
+        assert [v.shape for v in arrays] == [(2, 41), (49, 41)]
+        assert all(v.dtype == np.float64 for v in arrays)
 
     def test_matches_generic_two_mode_route(self, grid_tiny):
         # independent evaluation: tensor with vacuum, apply the beam
@@ -403,10 +418,19 @@ class TestSweep:
 
     def test_records_match_single_conditional(self, small_config, small_sweep):
         field = ws.resource_wigner(small_config.input, small_config.input_grid)
-        for rec in small_sweep.records:
-            out, dens = distill_conditional(field, small_config.t, rec.p_v)
+        t = small_config.t
+        tracked = distill_sweep(dataclasses.replace(small_config, s_targ=4.0))
+        for rec, fid_rec in zip(small_sweep.records, tracked.records):
+            out, dens = distill_conditional(field, t, rec.p_v)
             assert abs(rec.density - dens) <= 1e-12 * dens
             assert abs(rec.neg - ws.log_negativity(out)) <= 1e-12 * abs(rec.neg)
+            # the field's density comes from the columns, and still normalizes it
+            assert abs(ws.integrate_full(out) - 1.0) <= 1e-12
+            # the shifted target built on the outcome's own lattice, against
+            # the sweep's one target at (q_in, p_in / sqrt(t))
+            shift = np.sqrt((1.0 - t) / t) * rec.p_v
+            target = ws.cubic_phase_wigner(0.05, shift, 4.0, out.grid)
+            assert abs(fid_rec.fid - ws.fidelity_to_pure(out, target)) <= 1e-12
 
     def test_undersized_cubic_input_refused(self):
         # a +-3 window cannot hold the s=1.5 cubic state: the generated
@@ -449,7 +473,7 @@ class TestSweep:
         def no_outcome(*args):
             raise AssertionError("an outcome was computed")
 
-        monkeypatch.setattr(distill, "_blur_rows", no_outcome)
+        monkeypatch.setattr(distill, "_blur", no_outcome)
         for grid in (ws.build_grid(-8, 8, 161, -9, 9, 161),
                      ws.build_grid(-8, 8, 161, -8, 8, 163)):
             config = DistillationConfig(input=vac, t=0.9, output_grid=grid)
@@ -475,7 +499,7 @@ class TestSweep:
 
         for name in calls:
             monkeypatch.setattr(distill, name, counted(name))
-        monkeypatch.setattr(distill, "_Conditional", no_field)
+        monkeypatch.setattr(distill, "_outcome_field", no_field)
         field = ws.renormalize(ws.cubic_phase_wigner(0.05, 0.0, 0.3, grid_small))
         out = distill_sweep(DistillationConfig(
             input=field, t=0.9, p_v_samples=np.linspace(-3, 3, 7),

@@ -11,6 +11,7 @@ from wigsim.monotones import (
     fidelity_initial_analytic,
     fidelity_to_pure,
     log_negativity,
+    log_negativity_of_l1,
 )
 from wigsim.states import (
     GaussianStateParams,
@@ -58,6 +59,14 @@ class TestLogNegativity:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             assert log_negativity(field) == 0.0
+
+    @pytest.mark.parametrize("total", [np.nan, -1.0, 0.0, np.inf])
+    def test_l1_total_must_be_positive_and_finite(self, total):
+        # raised before the log, so no nan or inf N_L reaches a record
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ArithmeticError, match="positive and finite"):
+                log_negativity_of_l1(total)
 
     def test_displacement_invariance(self, grid_default):
         from wigsim.symplectic import apply_symplectic, sym_displace
