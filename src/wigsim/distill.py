@@ -148,6 +148,15 @@ class DistillationOutcome:
         if not self.window[0] < self.window[1]:
             raise ValueError("window must satisfy p- < p+")
 
+    @property
+    def rate_bound(self) -> float:
+        """exp(ini_neg - post_neg), the paper's bound on the success rate.
+
+        The window's integral of density * e^{N_L} is at most e^{ini_neg},
+        so by Jensen's inequality P_suc <= rate_bound.
+        """
+        return float(np.exp(self.ini_neg - self.post_neg))
+
 
 def _blur(field: WignerField, t: float, whole: bool) -> tuple:
     """(w_q B, w_q |B|) of B = K @ W, banded by row blocks, and B itself if whole."""
@@ -353,7 +362,8 @@ def write_sweep_csv(outcome: DistillationOutcome, path) -> None:
             fid = float("nan") if r.fid is None else r.fid
             fh.write(f"{r.p_v:.12e},{r.density:.12e},{r.neg:.12e},{fid:.12e}\n")
         fh.write(
-            f"# P_suc={outcome.P_suc:.12e} avg_neg={outcome.avg_neg:.12e} "
+            f"# P_suc={outcome.P_suc:.12e} rate_bound={outcome.rate_bound:.12e} "
+            f"avg_neg={outcome.avg_neg:.12e} "
             f"post_neg={outcome.post_neg:.12e} "
             f"window=[{outcome.window[0]:.12e},{outcome.window[1]:.12e}] "
             f"ini_neg={outcome.ini_neg:.12e}\n"

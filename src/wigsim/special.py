@@ -11,9 +11,9 @@ factor is 1 by convention. airy_ai applies the decay back.
 The series and Horner loops update their arrays in place, with the same
 floating-point operations in the same order as the out-of-place form, so
 the values are bit-identical to it. Every evaluation is pointwise: the cubic
-phase fields call it on one row block at a time through grids.fill_by_rows
-(so its temporaries stay in cache), and their samples are bit-identical to
-one call on the whole grid.
+phase fields call it once per distinct |q| row, one block of those rows at a
+time (so its temporaries stay in cache), and copy the other rows; their
+samples are bit-identical to one call on the whole grid.
 """
 
 from __future__ import annotations

@@ -23,6 +23,10 @@ The combined exponent is <= -1/(864 gamma^2 sigma^6) < 0 wherever the Airy
 argument is positive once the Airy decay is folded in, so the evaluation
 below never overflows. gamma < 0 follows from W(-gamma) via b -> -b, and
 gamma = 0 is an exact squeezed Gaussian.
+
+q enters W only through q^2, so the field is evaluated once per distinct |q|
+row and each mirror row copied from its twin, both in row blocks: half the
+Airy work on a symmetric grid, bit-identical to evaluating every row.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ import numpy as np
 
 from .errors import GridMismatchError, UndefinedStateError, UnnormalizedFieldError
 from .grids import (PhaseSpaceGrid, WignerField, field_from_samples, fill_by_rows,
-                    integrate_samples)
+                    integrate_samples, row_blocks)
 from .special import airy_ai_scaled, laguerre
 from .symplectic import omega
 
@@ -240,15 +244,24 @@ def cubic_phase_wavefunction(gamma: float, P: float, s: float):
     return psi
 
 
-def _cubic_airy_samples(gamma: float, P: float, s: float, q, p) -> np.ndarray:
-    """Closed-form cubic-phase Wigner samples at broadcastable (q, p)."""
+def _cubic_scales(gamma: float, s: float) -> tuple:
+    """sigma^2, kappa and c0 of the closed form, for gamma != 0."""
     sig2 = np.exp(2.0 * s)
+    g = abs(gamma)
+    return sig2, 1.0 / (12.0 * g * sig2), 1.0 / (432.0 * g * g * sig2**3)
+
+
+def _cubic_airy_samples(gamma: float, P: float, s: float, q, p) -> np.ndarray:
+    """Closed-form cubic-phase Wigner samples at broadcastable (q, p).
+
+    q enters only through q * q and 3 gamma q q, which have the same bits at
+    q and -q, so rows at bitwise-equal |q| are bitwise equal.
+    """
+    sig2, kappa, c0 = _cubic_scales(gamma, s)
     g = abs(gamma)
     b = 3.0 * gamma * q * q - (p - P) / 2.0
     if gamma < 0:
         b = -b
-    kappa = 1.0 / (12.0 * g * sig2)
-    c0 = 1.0 / (432.0 * g * g * sig2**3)
     cbrt = (6.0 * g) ** (1.0 / 3.0)
     arg = (2.0 * b + 1.0 / (24.0 * g * sig2 * sig2)) / cbrt
     expo = 2.0 * b * kappa + c0 - q * q / (2.0 * sig2)
@@ -264,8 +277,9 @@ def cubic_phase_wigner(
 ) -> WignerField:
     """Wigner field of |gamma, P, s> from the closed form in the module docstring.
 
-    gamma = 0 gives the exact squeezed Gaussian. The independent numerical
-    route to the same field is
+    gamma = 0 gives the exact squeezed Gaussian; a gamma so close to 0 that
+    kappa or c0 overflows is refused before any row is filled. The
+    independent numerical route to the same field is
     wigner_from_wavefunction(cubic_phase_wavefunction(gamma, P, s), grid).
 
     Like every generator, the field is flagged by field_from_samples: on a
@@ -273,6 +287,7 @@ def cubic_phase_wigner(
     target) it comes back flagged unnormalized, and consumers that need a
     state refuse it.
     """
+    _require_finite(gamma, P, s)
     if s < 0:
         raise ValueError("s must be >= 0")
     grid.require_single_mode("cubic_phase_wigner")
@@ -282,8 +297,34 @@ def cubic_phase_wigner(
             cov=np.diag([np.exp(2.0 * s), np.exp(-2.0 * s)]),
         )
         return gaussian_wigner(params, grid)
-    samples = fill_by_rows(grid, lambda q, p: _cubic_airy_samples(gamma, P, s, q, p))
-    return field_from_samples(grid, samples)
+    with np.errstate(over="ignore", divide="ignore"):
+        _, kappa, c0 = _cubic_scales(gamma, s)
+    if not np.isfinite([kappa, c0]).all():
+        raise ValueError(
+            f"gamma={gamma!r} is too close to 0: kappa or c0 of the closed form overflows"
+        )
+    return field_from_samples(grid, _mirrored_cubic_fill(gamma, P, s, grid))
+
+
+def _mirrored_cubic_fill(gamma: float, P: float, s: float, grid: PhaseSpaceGrid):
+    """_cubic_airy_samples on the open mesh, evaluated once per distinct |q|.
+
+    The other rows are copied from the first row of their |q|, a row block at
+    a time: a gather of every mirror row at once would hold half a field.
+    """
+    q, p = grid.open_mesh()
+    _, first, inverse = np.unique(np.abs(q[:, 0]), return_index=True, return_inverse=True)
+    out = np.empty(grid.shape)
+    for block in row_blocks((first.size,) + grid.shape[1:]):
+        rows = first[block]
+        out[rows] = _cubic_airy_samples(gamma, P, s, q[rows], p)
+    source = first[inverse]
+    mirrors = np.flatnonzero(source != np.arange(source.size))
+    for block in row_blocks((mirrors.size,) + grid.shape[1:]):
+        rows = mirrors[block]
+        out[rows] = out[source[rows]]
+    out.setflags(write=False)
+    return out
 
 
 def photon_mod_wigner(

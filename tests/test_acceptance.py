@@ -241,11 +241,12 @@ def test_criterion_07_distillation_gain_leg():
     report(
         "criterion 07 gain",
         f"s_ini=1.0 t=0.99 window=[{out.window[0]:.2f},{out.window[1]:.2f}] "
-        f"P_suc={out.P_suc:.6f} post_neg={out.post_neg:.4f} "
+        f"P_suc={out.P_suc:.6f} rate_bound={out.rate_bound:.4f} post_neg={out.post_neg:.4f} "
         f"ini_neg={out.ini_neg:.4f} fid_ratio={ratio:.4f} {elapsed:.0f}s",
     )
     assert abs(out.P_suc - 0.01) <= 0.002
     assert out.post_neg > out.ini_neg
+    assert out.P_suc <= out.rate_bound
     assert ratio >= 1.10
 
 

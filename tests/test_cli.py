@@ -310,9 +310,11 @@ class TestDistillCommand:
         assert abs(p_suc - 1.0) < 1e-2
         # averaging over every outcome cannot beat the input negativity
         assert post <= ini * 1.01
+        assert p_suc <= stdout_value(out, "rate_bound")
         lines = path.read_text().splitlines()
         assert lines[0] == "p_v,density,neg,fid"
         assert lines[-1].startswith("# P_suc=")
+        assert stdout_value(lines[-1], "rate_bound") == pytest.approx(math.exp(ini - post), rel=1e-5)
 
     def test_fidelity_footer_with_target(self, capsys, tmp_path):
         path = tmp_path / "d.csv"

@@ -68,3 +68,38 @@ def test_meshgrids_are_sparse():
     # loops build their coordinates from open meshes or row-block indices
     found = {path.name: dense_meshgrids(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def block_size_reads(source: str, owner: str = None) -> list:
+    """Line numbers reading _BLOCK_POINTS outside the function named owner."""
+    tree = ast.parse(source)
+    allowed = {
+        id(node)
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and fn.name == owner
+        for node in ast.walk(fn)
+    }
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if id(node) not in allowed
+        and (
+            (isinstance(node, ast.Name) and node.id == "_BLOCK_POINTS"
+             and isinstance(node.ctx, ast.Load))
+            or (isinstance(node, ast.Attribute) and node.attr == "_BLOCK_POINTS")
+        )
+    ]
+
+
+def test_only_row_blocks_reads_the_block_size():
+    # one row-block policy: every blocked loop takes its blocks from
+    # grids.row_blocks and never sizes its own from the constant
+    found = {
+        path.name: block_size_reads(
+            path.read_text(), "row_blocks" if path.name == "grids.py" else None
+        )
+        for path in sorted(SRC.glob("*.py"))
+    }
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    sized_by_hand = "rows = _BLOCK_POINTS // n\ndef row_blocks(shape):\n    return _BLOCK_POINTS\n"
+    assert block_size_reads(sized_by_hand, "row_blocks") == [1]

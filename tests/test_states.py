@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import wigsim as ws
+from wigsim import states
 from wigsim import (
     ON,
     CubicPhase,
@@ -15,6 +16,7 @@ from wigsim import (
     PhotonMod,
     UndefinedStateError,
 )
+from wigsim.distill import default_protocol_grid
 from wigsim.grids import (_BLOCK_POINTS, integrate_full, overlap_trace,
                           wigner_from_wavefunction)
 from wigsim.monotones import log_negativity
@@ -186,6 +188,23 @@ class TestCubicPhase:
         w = resource_wigner(spec, g)
         assert abs(mean_photon_numeric(w) - mean_photon_analytic(spec)) < 1e-4
 
+    @pytest.mark.parametrize(
+        "gamma,P,s", [(np.nan, 0.0, 0.5), (0.05, np.inf, 0.5), (0.05, 0.0, np.nan)],
+        ids=["gamma", "P", "s"],
+    )
+    def test_non_finite_parameters_rejected_at_entry(self, gamma, P, s, grid_small):
+        with pytest.raises(ValueError, match="parameters must be finite"):
+            cubic_phase_wigner(gamma, P, s, grid_small)
+
+    def test_tiny_gamma_names_gamma_before_any_row(self, monkeypatch, grid_small):
+        # CubicPhase(1e-300, 0, 0) is valid, but c0 = 1/(432 gamma^2) overflows
+        def never(*args):
+            raise AssertionError("a row was filled")
+
+        monkeypatch.setattr(states, "_cubic_airy_samples", never)
+        with pytest.raises(ValueError, match="gamma=1e-300"):
+            resource_wigner(CubicPhase(1e-300, 0.0, 0.0), grid_small)
+
     def test_undersized_grid_flags_unnormalized(self):
         g = ws.build_grid(-3, 3, 65, -3, 3, 65)
         w = cubic_phase_wigner(0.05, 0.0, 1.5, g)
@@ -222,15 +241,24 @@ class TestCubicPhase:
 _ROWS = _BLOCK_POINTS // 1025  # q-rows per block on the 1025-point p-axis
 
 
-# (n_q, n_p): one row per block on a p-axis wider than a block, then a
-# partial, an exact, an overfull single block and many blocks
+# (q_lo, q_hi, n_q, n_p): one row per block on a p-axis wider than a block,
+# then a partial, an exact, an overfull single block and many blocks; then
+# grids where the cubic fill's mirrored rows are not the two halves of the
+# q-axis: an asymmetric q-range, an even count with no q = 0 row, and 385
+# points over +-16, where 128 of the 192 +-q pairs differ by an ulp and both
+# rows are evaluated
+_FILL_GRIDS = [(-20, 20, 3, _BLOCK_POINTS + 1), (-20, 20, _ROWS - 1, 1025),
+               (-20, 20, _ROWS, 1025), (-20, 20, _ROWS + 1, 1025), (-20, 20, 641, 1025),
+               (-3, 17, 201, 1025), (-20, 20, 640, 1025), (-16, 16, 385, 1025)]
+
+
 @pytest.mark.parametrize(
-    "n_q,n_p",
-    [(3, _BLOCK_POINTS + 1), (_ROWS - 1, 1025), (_ROWS, 1025), (_ROWS + 1, 1025),
-     (641, 1025)],
+    "q_lo,q_hi,n_q,n_p", _FILL_GRIDS,
+    ids=[f"{n_q}-{n_p}" if q_hi == 20 else f"{n_q}-{n_p}-q{q_lo}..{q_hi}"
+         for q_lo, q_hi, n_q, n_p in _FILL_GRIDS],
 )
-def test_block_fill_equals_pointwise_closed_form(n_q, n_p):
-    grid = ws.build_grid(-20, 20, n_q, -64, 64, n_p)
+def test_block_fill_equals_pointwise_closed_form(q_lo, q_hi, n_q, n_p):
+    grid = ws.build_grid(q_lo, q_hi, n_q, -64, 64, n_p)
     q, p = grid.open_mesh()
     for gamma in (0.05, -0.1):
         for P in (0.0, -0.3):
@@ -259,6 +287,36 @@ def test_block_fill_equals_pointwise_closed_form(n_q, n_p):
     grid2 = ws.PhaseSpaceGrid(axes=(grid.axes[0][:33], grid.axes[1], small, small))
     ref = _gaussian_samples(two, grid2.open_mesh())
     assert np.array_equal(gaussian_wigner(two, grid2).samples, ref)
+
+
+def test_cubic_fill_evaluates_each_distinct_abs_q_once(monkeypatch):
+    # the protocol grid's q-axis is symmetric to the bit, so the closed form
+    # sees rows 0 ... 512 (q <= 0) and the others are copied from them
+    seen = []
+
+    def counting(gamma, P, s, q, p):
+        seen.append(q.shape[0])
+        return _cubic_airy_samples(gamma, P, s, q, p)
+
+    monkeypatch.setattr(states, "_cubic_airy_samples", counting)
+    grid = default_protocol_grid()
+    field = cubic_phase_wigner(0.05, 0.0, 1.0, grid)
+    assert grid.shape[0] == 1025 and sum(seen) == 513
+    assert np.array_equal(field.samples, _cubic_airy_samples(0.05, 0.0, 1.0, *grid.open_mesh()))
+
+
+def test_cubic_peak_memory():
+    # representative rows and mirror copies both go one row block at a time;
+    # gathering every mirror row at once would hold about half a field more
+    grid = ws.build_grid(-16, 16, 1025, -32, 32, 2049)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        field = cubic_phase_wigner(0.05, 0.0, 1.0, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3 * field.samples.nbytes
 
 
 def test_on_state_peak_memory():
