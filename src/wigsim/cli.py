@@ -175,6 +175,7 @@ def _run_sweep(config, path) -> None:
     lo, hi = outcome.window
     line = (
         f"P_suc={outcome.P_suc:.6f} rate_bound={outcome.rate_bound:.6f} "
+        f"avg_l1={outcome.avg_l1:.6f} "
         f"ini_neg={outcome.ini_neg:.6f} "
         f"post_neg={outcome.post_neg:.6f} window=[{lo:.6f},{hi:.6f}]"
     )

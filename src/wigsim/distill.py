@@ -21,9 +21,17 @@ distill_conditional) takes its density, which normalizes the conditional
 state, and l1 = integral |raw| from the q-integrals of B and |B| dotted with
 G times the p-weights; N_L = ln(l1 / density). Its field is built on demand.
 
+The blur's matrix product runs on normal doubles only, as subnormal
+arithmetic would make it 2-3x slower: the cubic-phase input holds no
+subnormal sample, and the kernel is lifted by an exact power of two (_lift).
+The columns keep the unlifted product's bits; B differs from it only in
+entries the unlifted product rounded at subnormal precision (below 1e-291
+on the protocol grid).
+
 Postselection keeps a contiguous outcome window [p-, p+]. Over a window,
 P_suc integrates the density, avg_neg integrates density * negativity, and
-post_neg = avg_neg / P_suc; likewise for fidelity when a cubic-phase target
+post_neg = avg_neg / P_suc, and avg_l1 integrates l1, which the monotone
+bounds by e^{ini_neg}; likewise for fidelity when a cubic-phase target
 is tracked. The tracked target for outcome p_v is the cubic-phase state
 shifted to P' = sqrt((1-t)/t) * p_v, which is where the ancilla kick moves
 the state's momentum. That is the same shift as the outcome's lattice, so
@@ -33,6 +41,7 @@ unshifted target at (q_in, p_in / sqrt(t)), and a sweep builds it once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,7 +138,12 @@ class DistillationConfig:
 
 @dataclass(frozen=True, eq=False)
 class DistillationOutcome:
-    """Sweep results: per-outcome records plus window aggregates."""
+    """Sweep results: per-outcome records plus window aggregates.
+
+    avg_l1 is the window's integral of l1 = density * e^{N_L}. The blur and
+    the homodyne integral have positive kernels, so the integral of l1 over
+    all outcomes is at most that of |W_in|: avg_l1 <= e^{ini_neg}.
+    """
 
     records: tuple
     P_suc: float
@@ -137,6 +151,7 @@ class DistillationOutcome:
     post_neg: float
     window: tuple
     ini_neg: float
+    avg_l1: float
     avg_fid: float = None
     post_fid: float = None
 
@@ -152,14 +167,35 @@ class DistillationOutcome:
     def rate_bound(self) -> float:
         """exp(ini_neg - post_neg), the paper's bound on the success rate.
 
-        The window's integral of density * e^{N_L} is at most e^{ini_neg},
-        so by Jensen's inequality P_suc <= rate_bound.
+        The window's integral of density * e^{N_L} (avg_l1) is at most
+        e^{ini_neg}, so by Jensen's inequality P_suc <= rate_bound.
         """
         return float(np.exp(self.ini_neg - self.post_neg))
 
 
+def _lift(samples: np.ndarray, w_q: np.ndarray, t: float) -> float:
+    """The power of two 2^L by which _blur scales its kernel, exactly.
+
+    An in-band kernel weight is at least 2^-106 of w_q / (2 pi sqrt(1-t)),
+    so at L = 600 its lifted product with any normal sample is normal. A
+    kernel row sums to at most S / (2 pi sqrt(1-t)), S = sum of w_q, so
+    |lift B| <= lift max|W| S / (2 pi sqrt(1-t)) and a column is at most S
+    times that; L drops below 600 where that would pass 2^1022 (samples
+    beyond about 2^410 on the protocol grid).
+    """
+    peak = max(samples.max(), -samples.min())
+    span = float(np.sum(w_q))
+    bound = np.log2(peak) + 2.0 * np.log2(span) - np.log2(2.0 * np.pi * np.sqrt(1.0 - t))
+    return math.ldexp(1.0, min(600, 1022 - math.ceil(bound)))
+
+
 def _blur(field: WignerField, t: float, whole: bool) -> tuple:
-    """(w_q B, w_q |B|) of B = K @ W, banded by row blocks, and B itself if whole."""
+    """(w_q B, w_q |B|) of B = K @ W, banded by row blocks, and B itself if whole.
+
+    The product runs in lifted units and the columns are scaled back once;
+    each block of B is flushed below 2^-1022 lift before it is scaled back,
+    so B holds no subnormal.
+    """
     field.grid.require_single_mode("the distillation conditional")
     if not field.normalized:
         raise UnnormalizedFieldError("distillation input must be normalized")
@@ -169,16 +205,20 @@ def _blur(field: WignerField, t: float, whole: bool) -> tuple:
     var2, src = 2.0 * (1.0 - t), np.sqrt(t) * q
     reach = np.sqrt(var2 * _BAND_DEPTH)
     w_q = trapezoid_weights(q)
-    weights = w_q / (2.0 * np.pi * np.sqrt(1.0 - t))
+    lift = _lift(field.samples, w_q, t)
+    weights = w_q / (2.0 * np.pi * np.sqrt(1.0 - t)) * lift
+    floor = np.finfo(float).tiny * lift
     columns = np.zeros((2, field.samples.shape[1]))
-    blurred = np.empty(field.samples.shape) if whole else None
+    blurred = np.zeros(field.samples.shape) if whole else None
     for rows in row_blocks(field.samples.shape):
         lo, hi = np.searchsorted(src, q[rows][[0, -1]] + [-reach, reach])
         diff = q[rows, None] - src[lo:hi]
         block = (np.exp(-diff * diff / var2) * weights[lo:hi]) @ field.samples[lo:hi]
-        columns += w_q[rows] @ np.array([block, np.abs(block)])
+        pair = np.array([block, np.abs(block)])
+        columns += w_q[rows] @ pair
         if whole:
-            blurred[rows] = block
+            np.multiply(block, 1.0 / lift, out=blurred[rows], where=pair[1] >= floor)
+    columns /= lift
     return columns, blurred
 
 
@@ -319,6 +359,7 @@ def distill_sweep(config: DistillationConfig) -> DistillationOutcome:
     if p_suc < EPS_COND:
         raise ValueError("selected window has negligible success probability")
     avg_neg = _segment_integral(xs, dens * negs, lo, hi)
+    avg_l1 = _segment_integral(xs, np.array([r.l1 for r in records]), lo, hi)
 
     avg_fid = post_fid = None
     if config.s_targ is not None:
@@ -333,6 +374,7 @@ def distill_sweep(config: DistillationConfig) -> DistillationOutcome:
         post_neg=float(avg_neg / p_suc),
         window=(lo, hi),
         ini_neg=ini_neg,
+        avg_l1=avg_l1,
         avg_fid=avg_fid,
         post_fid=post_fid,
     )
@@ -363,6 +405,7 @@ def write_sweep_csv(outcome: DistillationOutcome, path) -> None:
             fh.write(f"{r.p_v:.12e},{r.density:.12e},{r.neg:.12e},{fid:.12e}\n")
         fh.write(
             f"# P_suc={outcome.P_suc:.12e} rate_bound={outcome.rate_bound:.12e} "
+            f"avg_l1={outcome.avg_l1:.12e} "
             f"avg_neg={outcome.avg_neg:.12e} "
             f"post_neg={outcome.post_neg:.12e} "
             f"window=[{outcome.window[0]:.12e},{outcome.window[1]:.12e}] "

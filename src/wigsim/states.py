@@ -27,6 +27,10 @@ gamma = 0 is an exact squeezed Gaussian.
 q enters W only through q^2, so the field is evaluated once per distinct |q|
 row and each mirror row copied from its twin, both in row blocks: half the
 Airy work on a symmetric grid, bit-identical to evaluating every row.
+
+A sample with |W| < 2^-1022 is stored as 0 inside the closed form, so the
+field holds no subnormal double, whose products (in the distillation blur)
+would take the processor's slow path; every other sample keeps its bits.
 """
 
 from __future__ import annotations
@@ -244,6 +248,12 @@ def cubic_phase_wavefunction(gamma: float, P: float, s: float):
     return psi
 
 
+_TINY = np.finfo(float).tiny  # 2^-1022, the smallest normal double
+
+# the evaluator's stated accuracy (module docstring of wigsim.special)
+_AIRY_TOL = 1e-9
+
+
 def _cubic_scales(gamma: float, s: float) -> tuple:
     """sigma^2, kappa and c0 of the closed form, for gamma != 0."""
     sig2 = np.exp(2.0 * s)
@@ -269,7 +279,12 @@ def _cubic_airy_samples(gamma: float, P: float, s: float, q, p) -> np.ndarray:
     # fold the Airy decay exp(-(2/3) arg^{3/2}) into the exponent
     expo = expo - (2.0 / 3.0) * np.maximum(arg, 0.0) ** 1.5
     amp = 2.0 * np.pi / (cbrt * np.sqrt(8.0 * np.pi**3 * sig2))
-    return amp * (np.exp(expo) * airy_ai_scaled(arg))
+    # |Ai| and the scaled Ai stay below 1, so where amp e^expo < 2^-1022 the
+    # sample is below it too: exp gets -inf there, not its slow subnormal path
+    expo[expo < np.log(_TINY / amp)] = -np.inf
+    out = amp * (np.exp(expo) * airy_ai_scaled(arg))
+    out[np.abs(out) < _TINY] = 0.0
+    return out
 
 
 def cubic_phase_wigner(
@@ -277,8 +292,10 @@ def cubic_phase_wigner(
 ) -> WignerField:
     """Wigner field of |gamma, P, s> from the closed form in the module docstring.
 
-    gamma = 0 gives the exact squeezed Gaussian; a gamma so close to 0 that
-    kappa or c0 overflows is refused before any row is filled. The
+    gamma = 0 gives the exact squeezed Gaussian. Near 0 the closed form's
+    exponent cancels terms of size c0 = 1/(432 gamma^2 sigma^6), so its error
+    grows like c0 * 2^-52; a gamma for which that exceeds the Airy evaluator's
+    1e-9 is refused before any row is filled. The
     independent numerical route to the same field is
     wigner_from_wavefunction(cubic_phase_wavefunction(gamma, P, s), grid).
 
@@ -298,10 +315,12 @@ def cubic_phase_wigner(
         )
         return gaussian_wigner(params, grid)
     with np.errstate(over="ignore", divide="ignore"):
-        _, kappa, c0 = _cubic_scales(gamma, s)
-    if not np.isfinite([kappa, c0]).all():
+        # the exponent's terms of size c0 cancel to about c0 * 2^-52
+        cancel = _cubic_scales(gamma, s)[2] * np.finfo(float).eps
+    if not cancel <= _AIRY_TOL:
         raise ValueError(
-            f"gamma={gamma!r} is too close to 0: kappa or c0 of the closed form overflows"
+            f"gamma={gamma!r} is too close to 0: the closed form's exponent cancels "
+            f"to an error of about {cancel:.1e}, above the Airy evaluator's {_AIRY_TOL:.0e}"
         )
     return field_from_samples(grid, _mirrored_cubic_fill(gamma, P, s, grid))
 

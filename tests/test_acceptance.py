@@ -212,7 +212,16 @@ def test_criterion_06_selective_average_bound():
                 f"t={t} s={s}: full-range average {out.post_neg:.5f} "
                 f"exceeds {bound:.5f}"
             )
-            details.append(f"t={t},s={s}:{out.post_neg:.4f}<={bound:.4f}")
+            # the l1 form of the bound, with no slack: the window's integral
+            # of density * e^{N_L} cannot exceed e^{N_L(in)}
+            l1_bound = math.exp(out.ini_neg)
+            assert out.avg_l1 <= l1_bound, (
+                f"t={t} s={s}: avg_l1 {out.avg_l1:.6f} exceeds {l1_bound:.6f}"
+            )
+            details.append(
+                f"t={t},s={s}:{out.post_neg:.4f}<={bound:.4f}"
+                f",l1={out.avg_l1:.5f}<={l1_bound:.5f}"
+            )
     elapsed = time.perf_counter() - t0
     report("criterion 06", " ".join(details) + f" {elapsed:.0f}s (budget 900s)")
     assert elapsed < 900.0
@@ -241,7 +250,8 @@ def test_criterion_07_distillation_gain_leg():
     report(
         "criterion 07 gain",
         f"s_ini=1.0 t=0.99 window=[{out.window[0]:.2f},{out.window[1]:.2f}] "
-        f"P_suc={out.P_suc:.6f} rate_bound={out.rate_bound:.4f} post_neg={out.post_neg:.4f} "
+        f"P_suc={out.P_suc:.6f} rate_bound={out.rate_bound:.4f} avg_l1={out.avg_l1:.6f} "
+        f"post_neg={out.post_neg:.4f} "
         f"ini_neg={out.ini_neg:.4f} fid_ratio={ratio:.4f} {elapsed:.0f}s",
     )
     assert abs(out.P_suc - 0.01) <= 0.002
@@ -273,7 +283,7 @@ def test_criterion_07_saturation_leg():
     report(
         "criterion 07 saturation",
         f"s_ini=1.6 t=0.99 window=[{out.window[0]:.2f},{out.window[1]:.2f}] "
-        f"P_suc={out.P_suc:.6f} fid_ratio={ratio:.4f} (<1) {elapsed:.0f}s",
+        f"P_suc={out.P_suc:.6f} avg_l1={out.avg_l1:.6f} fid_ratio={ratio:.4f} (<1) {elapsed:.0f}s",
     )
     assert ratio < 1.0
 

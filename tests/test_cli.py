@@ -315,6 +315,9 @@ class TestDistillCommand:
         assert lines[0] == "p_v,density,neg,fid"
         assert lines[-1].startswith("# P_suc=")
         assert stdout_value(lines[-1], "rate_bound") == pytest.approx(math.exp(ini - post), rel=1e-5)
+        # the l1 bound, printed and in the footer
+        assert stdout_value(out, "avg_l1") <= math.exp(ini)
+        assert stdout_value(lines[-1], "avg_l1") == pytest.approx(stdout_value(out, "avg_l1"), abs=1e-6)
 
     def test_fidelity_footer_with_target(self, capsys, tmp_path):
         path = tmp_path / "d.csv"

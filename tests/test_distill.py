@@ -20,7 +20,7 @@ from wigsim.distill import (
     select_window,
     write_sweep_csv,
 )
-from wigsim.grids import tensor_product
+from wigsim.grids import row_blocks, tensor_product
 from wigsim.states import (
     CubicPhase,
     GaussianStateParams,
@@ -167,6 +167,44 @@ class TestConditional:
         dense = kernel @ field.samples
         banded = _blur(field, t, whole=True)[1]
         assert np.max(np.abs(banded - dense)) <= 1e-14 * np.max(np.abs(dense))
+
+    @pytest.mark.parametrize("gamma,s,t", [(0.05, 0.2, 0.99), (-0.05, 1.0, 0.9),
+                                           (0.05, 0.6, 0.95)])
+    def test_lifted_blur_stores_no_subnormal(self, gamma, s, t):
+        # the unlifted banded loop is the reference: its columns, and its B
+        # wherever no product underflowed into its rounding (2^-900 and up)
+        field = ws.cubic_phase_wigner(gamma, 0.0, s, default_protocol_grid())
+        q = field.grid.axes[0]
+        var2, src = 2.0 * (1.0 - t), np.sqrt(t) * q
+        reach = np.sqrt(var2 * distill._BAND_DEPTH)
+        w_q = ws.trapezoid_weights(q)
+        weights = w_q / (2.0 * np.pi * np.sqrt(1.0 - t))
+        ref_columns, ref = np.zeros((2, field.grid.shape[1])), np.empty(field.grid.shape)
+        for rows in row_blocks(field.grid.shape):
+            lo, hi = np.searchsorted(src, q[rows][[0, -1]] + [-reach, reach])
+            diff = q[rows, None] - src[lo:hi]
+            ref[rows] = (np.exp(-diff * diff / var2) * weights[lo:hi]) @ field.samples[lo:hi]
+            ref_columns += w_q[rows] @ np.array([ref[rows], np.abs(ref[rows])])
+        columns, blurred = _blur(field, t, whole=True)
+        assert np.all(np.abs(columns - ref_columns) <= 1e-15 * np.abs(ref_columns))
+        assert not np.any((blurred != 0) & (np.abs(blurred) < np.finfo(float).tiny))
+        exact = np.abs(ref) >= 2.0**-900
+        assert np.array_equal(blurred[exact], ref[exact])
+
+    def test_lift_leaves_room_for_large_samples(self):
+        # a lift of 2^600 would overflow samples of 2^450; the blur lowers it
+        g = ws.build_grid(-6, 6, 97, -5, 5, 81)
+        q, p = g.axes
+        samples = 2.0**450 * np.exp(-q[:, None] ** 2 - p[None, :] ** 2)
+        field = ws.WignerField(grid=g, samples=samples, normalized=True)
+        t = 0.9
+        diff = q[:, None] - np.sqrt(t) * q[None, :]
+        kernel = np.exp(-diff * diff / (2.0 * (1.0 - t))) * ws.trapezoid_weights(q)
+        dense = kernel / (2.0 * np.pi * np.sqrt(1.0 - t)) @ samples
+        want = ws.trapezoid_weights(q) @ np.array([dense, np.abs(dense)])
+        columns, blurred = _blur(field, t, whole=True)
+        assert np.all(np.abs(columns - want) <= 1e-14 * want)
+        assert np.max(np.abs(blurred - dense)) <= 1e-14 * np.max(dense)
 
     def test_holds_no_interpolation_arrays(self):
         # the blur hands back the (c, a) columns and the blurred input only:

@@ -20,6 +20,7 @@ from wigsim.distill import default_protocol_grid
 from wigsim.grids import (_BLOCK_POINTS, integrate_full, overlap_trace,
                           wigner_from_wavefunction)
 from wigsim.monotones import log_negativity
+from wigsim.special import airy_ai_scaled
 from wigsim.states import (
     _cubic_airy_samples,
     _gaussian_samples,
@@ -205,6 +206,19 @@ class TestCubicPhase:
         with pytest.raises(ValueError, match="gamma=1e-300"):
             resource_wigner(CubicPhase(1e-300, 0.0, 0.0), grid_small)
 
+    def test_gamma_whose_closed_form_cancels_is_refused(self, grid_small):
+        # c0 = 1/(432 gamma^2) = 2.3e11 at gamma = 1e-7, s = 0: the exponent
+        # cancels to about c0 * 2^-52 = 5.1e-5 (1.9e-5 measured)
+        with pytest.raises(ValueError, match=r"gamma=1e-07 .* 5\.1e-05"):
+            cubic_phase_wigner(1e-7, 0.0, 0.0, grid_small)
+
+    def test_small_gamma_accepted_within_the_airy_accuracy(self):
+        # c0 * 2^-52 = 5.1e-13 at gamma = 1e-3, s = 0 (2.0e-13 measured)
+        g = ws.build_grid(-8, 8, 129, -8, 8, 129)
+        w = cubic_phase_wigner(1e-3, 0.0, 0.0, g)
+        ref = wigner_from_wavefunction(cubic_phase_wavefunction(1e-3, 0.0, 0.0), g)
+        assert np.max(np.abs(w.samples - ref.samples)) < 1e-9
+
     def test_undersized_grid_flags_unnormalized(self):
         g = ws.build_grid(-3, 3, 65, -3, 3, 65)
         w = cubic_phase_wigner(0.05, 0.0, 1.5, g)
@@ -303,6 +317,35 @@ def test_cubic_fill_evaluates_each_distinct_abs_q_once(monkeypatch):
     field = cubic_phase_wigner(0.05, 0.0, 1.0, grid)
     assert grid.shape[0] == 1025 and sum(seen) == 513
     assert np.array_equal(field.samples, _cubic_airy_samples(0.05, 0.0, 1.0, *grid.open_mesh()))
+
+
+def _unflushed_cubic_samples(gamma, P, s, q, p):
+    # the closed form as it was before samples below 2^-1022 were flushed
+    sig2, g = np.exp(2.0 * s), abs(gamma)
+    kappa, c0 = 1.0 / (12.0 * g * sig2), 1.0 / (432.0 * g * g * sig2**3)
+    b = 3.0 * gamma * q * q - (p - P) / 2.0
+    if gamma < 0:
+        b = -b
+    cbrt = (6.0 * g) ** (1.0 / 3.0)
+    arg = (2.0 * b + 1.0 / (24.0 * g * sig2 * sig2)) / cbrt
+    expo = 2.0 * b * kappa + c0 - q * q / (2.0 * sig2)
+    expo = expo - (2.0 / 3.0) * np.maximum(arg, 0.0) ** 1.5
+    amp = 2.0 * np.pi / (cbrt * np.sqrt(8.0 * np.pi**3 * sig2))
+    return amp * (np.exp(expo) * airy_ai_scaled(arg))
+
+
+@pytest.mark.parametrize("gamma", [0.05, -0.05])
+@pytest.mark.parametrize("s", [0.2, 1.0, 4.0])
+def test_cubic_field_holds_no_subnormal(gamma, s):
+    # about 1 % of the protocol grid is subnormal in the unflushed formula;
+    # those samples are 0 and every other sample keeps its bits
+    grid = default_protocol_grid()
+    field = cubic_phase_wigner(gamma, 0.0, s, grid)
+    ref = _unflushed_cubic_samples(gamma, 0.0, s, *grid.open_mesh())
+    normal = np.abs(ref) >= np.finfo(float).tiny
+    assert np.count_nonzero(ref[~normal]) > 0.005 * ref.size
+    assert np.array_equal(field.samples[normal], ref[normal])
+    assert not np.any(field.samples[~normal])
 
 
 def test_cubic_peak_memory():
