@@ -306,7 +306,7 @@ def cmd_study(args) -> int:
 def cmd_validate(args) -> int:
     from .validation import run_validation
 
-    return 0 if run_validation(fast=args.fast) else 1
+    return 0 if run_validation() else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -354,8 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_study)
 
     p = sub.add_parser("validate", help="run the self-check suite")
-    p.add_argument("--fast", action="store_true",
-                   help="run only the sub-second subset")
     p.set_defaults(func=cmd_validate)
 
     return parser

@@ -122,8 +122,8 @@ def fock_density(spec: ResourceStateSpec, cutoff: int) -> FockDensity:
     Cubic-phase states converge too slowly in this basis and are cross
     checked through their wavefunction instead.
     """
-    if cutoff < 1:
-        raise ValueError("cutoff must be >= 1")
+    if not isinstance(cutoff, (int, np.integer)) or cutoff < 1:
+        raise ValueError("cutoff must be a positive integer")
     if isinstance(spec, Number):
         if spec.n >= cutoff:
             raise TruncationError(f"cutoff {cutoff} cannot hold |{spec.n}>")

@@ -136,6 +136,8 @@ def build_grid(
     modes: int = 1,
 ) -> PhaseSpaceGrid:
     """Uniform grid with the same (q, p) axes replicated for every mode."""
+    if not all(isinstance(count, (int, np.integer)) for count in (n_q, n_p, modes)):
+        raise InvalidGridError("n_q, n_p and modes must be integers")
     if modes < 1:
         raise InvalidGridError("modes must be >= 1")
     if n_q < 3 or n_p < 3:

@@ -3,7 +3,9 @@
 Every generator works in the hbar = 2 convention of the rest of the package
 (vacuum variances <q^2> = <p^2> = 1, number operator (q^2 + p^2)/4 - 1/2).
 States are selected by small frozen parameter records; resource_wigner
-dispatches a record to its generator.
+dispatches a record to its generator, and each generator builds its record
+from its arguments, so a parameter the record refuses is refused before any
+row is filled.
 
 The finite-squeezing cubic phase state |gamma, P, s> is the state with
 position wavefunction
@@ -197,8 +199,7 @@ def vacuum_wigner(grid: PhaseSpaceGrid) -> WignerField:
 
 def number_state_wigner(n: int, grid: PhaseSpaceGrid) -> WignerField:
     """W(q,p) = (1/2pi) (-1)^n L_n(q^2 + p^2) e^{-(q^2+p^2)/2}."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    Number(n)
     grid.require_single_mode("number_state_wigner")
     return field_from_samples(grid, fill_by_rows(grid, partial(_number_samples, n)))
 
@@ -214,10 +215,8 @@ def on_state_wigner(N: int, a: complex, grid: PhaseSpaceGrid) -> WignerField:
     W = [W_vac + |a|^2 W_N] / (1 + |a|^2)
         + (2 / (2 pi (1 + |a|^2) sqrt(N!))) e^{-(q^2+p^2)/2} Re[a (q - ip)^N]
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    a = ON(N, a).a
     grid.require_single_mode("on_state_wigner")
-    a = complex(a)
     return field_from_samples(grid, fill_by_rows(grid, partial(_on_samples, N, a)))
 
 
@@ -304,9 +303,7 @@ def cubic_phase_wigner(
     target) it comes back flagged unnormalized, and consumers that need a
     state refuse it.
     """
-    _require_finite(gamma, P, s)
-    if s < 0:
-        raise ValueError("s must be >= 0")
+    CubicPhase(gamma, P, s)
     grid.require_single_mode("cubic_phase_wigner")
     if gamma == 0.0:
         params = GaussianStateParams(
@@ -354,8 +351,7 @@ def photon_mod_wigner(
     W_pm = (1/2)[x V^{-1} A_pm V^{-1} x^T - Tr(V^{-1} A_pm) + 2] W_V(x) with
     A_pm = 2 (V pm I)^2 / Tr(V pm I) and V the covariance of R(theta)S(s)|0>.
     """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
+    PhotonMod(sign, s, theta)
     grid.require_single_mode("photon_mod_wigner")
     samples = fill_by_rows(grid, _photon_mod_kernel(sign, s, theta))
     return field_from_samples(grid, samples)

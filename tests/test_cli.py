@@ -7,7 +7,7 @@ import shlex
 import numpy as np
 import pytest
 
-from wigsim import cli
+from wigsim import cli, validation
 from wigsim.cli import build_parser, main, parse_state_spec
 from wigsim.distill import DistillationConfig
 from wigsim.grids import build_grid, read_field_csv
@@ -351,11 +351,32 @@ class TestDistillCommand:
 
 
 class TestValidate:
-    def test_fast_subset_passes(self, capsys):
-        rc, out, _ = run(capsys, ["validate", "--fast"])
+    def test_every_row_passes(self, capsys):
+        rc, out, _ = run(capsys, ["validate"])
         assert rc == 0
-        assert "[PASS]" in out
-        assert "[FAIL]" not in out
+        assert [line.split(":")[0] for line in out.splitlines()] == [
+            f"[PASS] {name}" for name, _, _ in validation.CHECKS
+        ]
+
+    def test_a_failing_row_is_reported_and_the_rest_still_run(self, capsys, monkeypatch):
+        rows = list(validation.CHECKS)
+        name, bound, _ = rows[0]
+        rows[0] = (name, bound, lambda: 2.0 * bound)
+        monkeypatch.setattr(validation, "CHECKS", tuple(rows))
+        rc, out, _ = run(capsys, ["validate"])
+        assert rc == 1
+        lines = out.splitlines()
+        detail = f"deviation {2.0 * bound:.1e}, bound {bound:.0e}"
+        assert lines[0].startswith(f"[FAIL] {name}: {detail} (")
+        assert [line.split(":")[0] for line in lines[1:]] == [
+            f"[PASS] {other}" for other, _, _ in rows[1:]
+        ]
+
+    def test_fast_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--fast"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --fast" in capsys.readouterr().err
 
 
 class TestStudy:

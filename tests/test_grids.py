@@ -51,11 +51,17 @@ class TestGridConstruction:
             (-4, 4, 2, -4, 4, 9),
             (4, -4, 9, -4, 4, 9),
             (-4, 4, 9, -4, np.inf, 9),
+            (-1, 1, 9.5, -1, 1, 9),
+            (-1, 1, 9, -1, 1, 9, 1.5),
         ],
     )
     def test_build_grid_rejects(self, args):
         with pytest.raises(InvalidGridError):
             ws.build_grid(*args)
+
+    def test_build_grid_takes_numpy_integer_counts(self):
+        g = ws.build_grid(-1, 1, np.int64(5), -1, 1, np.int32(7), modes=np.int64(2))
+        assert g.shape == (5, 7, 5, 7)
 
     def test_nonuniform_axis_rejected(self):
         with pytest.raises(InvalidGridError):

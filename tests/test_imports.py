@@ -1,5 +1,8 @@
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "wigsim"
 
@@ -103,3 +106,15 @@ def test_only_row_blocks_reads_the_block_size():
     assert {name: lines for name, lines in found.items() if lines} == {}
     sized_by_hand = "rows = _BLOCK_POINTS // n\ndef row_blocks(shape):\n    return _BLOCK_POINTS\n"
     assert block_size_reads(sized_by_hand, "row_blocks") == [1]
+
+
+def test_import_wigsim_leaves_out_the_cli_and_the_self_checks():
+    # the benchmark's setup time includes `import wigsim`; the CLI and the
+    # validate table load only when a command needs them
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, wigsim; print(*sys.modules)"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+    ).stdout.split()
+    assert "wigsim.states" in loaded
+    assert "wigsim.cli" not in loaded and "wigsim.validation" not in loaded

@@ -257,11 +257,6 @@ class TestApplySymplectic:
 
 
 class TestHomodyne:
-    def test_vacuum_pdf_is_standard_normal(self, grid_small):
-        pdf = homodyne_pdf(vacuum_wigner(grid_small), 0, "q")
-        ref = np.exp(-pdf.values**2 / 2.0) / np.sqrt(2.0 * np.pi)
-        assert np.max(np.abs(pdf.densities - ref)) < 1e-9
-
     def test_pdf_requires_normalized_field(self, grid_small):
         half = field_from_samples(grid_small, vacuum_wigner(grid_small).samples / 2)
         with pytest.raises(ValueError):
