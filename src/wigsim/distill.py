@@ -16,10 +16,10 @@ image of the input p-axis, p_j = (p_in,j + sqrt(1-t) p_v) / sqrt(t), on
 which p' lands exactly on the input columns. The Gaussian w-kernel does not
 depend on p_v, so the input is blurred once, B = K @ W_in (banded), and
 each outcome is raw = B * G(p_j), column for column, with nothing
-interpolated. As G depends on p alone, every outcome (of a sweep or of
-distill_conditional) takes its density, which normalizes the conditional
-state, and l1 = integral |raw| from the q-integrals of B and |B| dotted with
-G times the p-weights; N_L = ln(l1 / density). Its field is built on demand.
+interpolated. As G depends on p alone, every outcome takes its density,
+which normalizes the conditional state, and l1 = integral |raw| from the
+q-integrals of B and |B| dotted with G times the p-weights; N_L =
+ln(l1 / density). Only distill_conditional builds a field or holds B whole.
 
 The blur's matrix product runs on normal doubles only, as subnormal
 arithmetic would make it 2-3x slower: the cubic-phase input holds no
@@ -35,8 +35,10 @@ bounds by e^{ini_neg}; likewise for fidelity when a cubic-phase target
 is tracked. The tracked target for outcome p_v is the cubic-phase state
 shifted to P' = sqrt((1-t)/t) * p_v, which is where the ancilla kick moves
 the state's momentum. That is the same shift as the outcome's lattice, so
-on every outcome's lattice the target has the same samples, those of the
-unshifted target at (q_in, p_in / sqrt(t)), and a sweep builds it once.
+on every outcome's lattice the target has the same samples T, those of the
+unshifted target at (q_in, p_in / sqrt(t)): a sweep builds T once, and each
+outcome's fidelity 4 pi integral raw * T / density takes its integral from
+the q-integral of B * T, as its density does from that of B.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ from .grids import (
     trapezoid_weights,
     wigner_from_wavefunction,
 )
-from .monotones import fidelity_to_pure, log_negativity, log_negativity_of_l1
+from .monotones import fidelity_of_overlap, log_negativity, log_negativity_of_l1
 from .states import CubicPhase, cubic_phase_wigner, resource_wigner
 from .symplectic import EPS_COND
 
@@ -189,12 +191,13 @@ def _lift(samples: np.ndarray, w_q: np.ndarray, t: float) -> float:
     return math.ldexp(1.0, min(600, 1022 - math.ceil(bound)))
 
 
-def _blur(field: WignerField, t: float, whole: bool) -> tuple:
-    """(w_q B, w_q |B|) of B = K @ W, banded by row blocks, and B itself if whole.
+def _blur(field: WignerField, t: float, whole: bool = False, target=None) -> tuple:
+    """Columns w_q B, w_q |B| (and f = w_q B T given T) of B = K @ W; B if whole.
 
-    The product runs in lifted units and the columns are scaled back once;
-    each block of B is flushed below 2^-1022 lift before it is scaled back,
-    so B holds no subnormal.
+    B is banded by row blocks. The product runs in lifted units (a target's
+    |T| <= 1/(2 pi) keeps f within the bound on |B|) and the columns are
+    scaled back once; each block of B is flushed below 2^-1022 lift before
+    it is scaled back, so B holds no subnormal.
     """
     field.grid.require_single_mode("the distillation conditional")
     if not field.normalized:
@@ -208,29 +211,29 @@ def _blur(field: WignerField, t: float, whole: bool) -> tuple:
     lift = _lift(field.samples, w_q, t)
     weights = w_q / (2.0 * np.pi * np.sqrt(1.0 - t)) * lift
     floor = np.finfo(float).tiny * lift
-    columns = np.zeros((2, field.samples.shape[1]))
+    columns = np.zeros((2 if target is None else 3, field.samples.shape[1]))
     blurred = np.zeros(field.samples.shape) if whole else None
     for rows in row_blocks(field.samples.shape):
         lo, hi = np.searchsorted(src, q[rows][[0, -1]] + [-reach, reach])
         diff = q[rows, None] - src[lo:hi]
         block = (np.exp(-diff * diff / var2) * weights[lo:hi]) @ field.samples[lo:hi]
-        pair = np.array([block, np.abs(block)])
-        columns += w_q[rows] @ pair
+        parts = [block, np.abs(block)] + ([] if target is None else [block * target[rows]])
+        columns += w_q[rows] @ np.array(parts)
         if whole:
-            np.multiply(block, 1.0 / lift, out=blurred[rows], where=pair[1] >= floor)
+            np.multiply(block, 1.0 / lift, out=blurred[rows], where=parts[1] >= floor)
     columns /= lift
     return columns, blurred
 
 
 def _outcome(columns, p_in, t: float, p_v: float) -> tuple:
-    """Outcome p_v's lattice p_j, G(p_j), density and l1 from the columns."""
+    """Outcome p_v's lattice p_j, G(p_j), then density, l1 (and f's integral)."""
     p_out = (p_in + np.sqrt(1.0 - t) * p_v) / np.sqrt(t)
     g = np.exp(-0.5 * (np.sqrt(t) * p_v + np.sqrt(1.0 - t) * p_out) ** 2)
-    density, l1 = (columns @ (g * (trapezoid_weights(p_in) / np.sqrt(t)))).tolist()
+    density, *rest = (columns @ (g * (trapezoid_weights(p_in) / np.sqrt(t)))).tolist()
     if density < EPS_COND:
         msg = f"outcome density {density:.3e} at p_v={p_v:.3f} below {EPS_COND:.0e}"
         raise DegenerateConditioningError(msg)
-    return p_out, g, density, l1
+    return p_out, g, density, *rest
 
 
 def _outcome_field(q, blurred, p_out, g, density: float) -> WignerField:
@@ -329,17 +332,13 @@ def distill_sweep(config: DistillationConfig) -> DistillationOutcome:
     target = None if config.s_targ is None else cubic_phase_wigner(
         config.input.gamma, 0.0, config.s_targ,
         PhaseSpaceGrid(axes=(q_in, p_in / np.sqrt(config.t))),
-    )
-    # one blur, kept whole only where fidelity needs each outcome's field
-    columns, blurred = _blur(field, config.t, whole=target is not None)
+    ).samples
+    columns, _ = _blur(field, config.t, target=target)
 
     records = []
     for p_v in config.p_v_samples.tolist():
-        p_out, g, density, l1 = _outcome(columns, p_in, config.t, p_v)
-        fid = None
-        if target is not None:
-            out = _outcome_field(q_in, blurred, p_out, g, density)
-            fid = fidelity_to_pure(out, WignerField(out.grid, target.samples, target.normalized))
+        _, _, density, l1, *overlap = _outcome(columns, p_in, config.t, p_v)
+        fid = fidelity_of_overlap(4.0 * np.pi * overlap[0] / density) if overlap else None
         records.append(OutcomeRecord(p_v, density, log_negativity_of_l1(l1 / density), fid, l1))
 
     xs = config.p_v_samples
@@ -354,17 +353,15 @@ def distill_sweep(config: DistillationConfig) -> DistillationOutcome:
         lo, hi = float(xs[0]), float(xs[-1])
 
     dens = np.array([r.density for r in records])
-    negs = np.array([r.neg for r in records])
     p_suc = _segment_integral(xs, dens, lo, hi)
     if p_suc < EPS_COND:
         raise ValueError("selected window has negligible success probability")
-    avg_neg = _segment_integral(xs, dens * negs, lo, hi)
+    avg_neg = _segment_integral(xs, dens * [r.neg for r in records], lo, hi)
     avg_l1 = _segment_integral(xs, np.array([r.l1 for r in records]), lo, hi)
 
     avg_fid = post_fid = None
-    if config.s_targ is not None:
-        fids = np.array([r.fid for r in records])
-        avg_fid = _segment_integral(xs, dens * fids, lo, hi)
+    if target is not None:
+        avg_fid = _segment_integral(xs, dens * [r.fid for r in records], lo, hi)
         post_fid = avg_fid / p_suc
 
     return DistillationOutcome(

@@ -14,7 +14,7 @@ import warnings
 
 import numpy as np
 
-from .errors import GridMismatchError, UnnormalizedFieldError
+from .errors import UnnormalizedFieldError
 from .grids import TOL_NORM, WignerField, integrate_samples, overlap_trace
 
 
@@ -54,12 +54,14 @@ def fidelity_to_pure(field: WignerField, target: WignerField) -> float:
     Valid when the target is pure. The target's raw on-grid samples are
     used as-is: a target whose support extends past the grid contributes
     nothing where the field vanishes anyway, so no renormalization is
-    applied. The result is clamped into [0, 1 + TOL_NORM].
+    applied. The result is clamped by fidelity_of_overlap.
     """
-    if field.grid != target.grid:
-        raise GridMismatchError("field and target must share a grid")
     field.grid.require_single_mode("fidelity_to_pure")
-    value = overlap_trace(field, target)
+    return fidelity_of_overlap(overlap_trace(field, target))
+
+
+def fidelity_of_overlap(value: float) -> float:
+    """F from its overlap 4 pi integral W_field W_target, clamped into [0, 1 + TOL_NORM]."""
     return float(np.clip(value, 0.0, 1.0 + TOL_NORM))
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import wigsim as ws
-from wigsim import distill
+from wigsim import distill, monotones
 from wigsim.distill import (
     DistillationConfig,
     _blur,
@@ -415,6 +416,17 @@ def small_sweep(small_config):
     return distill_sweep(small_config)
 
 
+def _forbid_outcome_fields(monkeypatch):
+    """Make building an outcome's field, or overlapping one with a target, raise."""
+
+    def forbidden(*args):
+        raise AssertionError("an outcome field was built or overlapped")
+
+    monkeypatch.setattr(distill, "_outcome_field", forbidden)
+    monkeypatch.setattr(monotones, "fidelity_to_pure", forbidden)
+    monkeypatch.setattr(distill, "fidelity_to_pure", forbidden, raising=False)
+
+
 class TestSweep:
     def test_full_range_averages(self, small_sweep):
         out = small_sweep
@@ -522,29 +534,66 @@ class TestSweep:
         # without fidelity tracking a sweep blurs once and never builds an
         # outcome's field: one N_L integral (the input's), no overlap, no
         # conditional; each record's l1 is density * exp(N_L)
-        calls = {"log_negativity": 0, "fidelity_to_pure": 0}
+        calls = {"log_negativity": 0}
+        original = distill.log_negativity
 
-        def counted(name):
-            original = getattr(distill, name)
+        def counted(*args):
+            calls["log_negativity"] += 1
+            return original(*args)
 
-            def wrapper(*args):
-                calls[name] += 1
-                return original(*args)
-            return wrapper
-
-        def no_field(*args):
-            raise AssertionError("an outcome field was built")
-
-        for name in calls:
-            monkeypatch.setattr(distill, name, counted(name))
-        monkeypatch.setattr(distill, "_outcome_field", no_field)
+        monkeypatch.setattr(distill, "log_negativity", counted)
+        _forbid_outcome_fields(monkeypatch)
         field = ws.renormalize(ws.cubic_phase_wigner(0.05, 0.0, 0.3, grid_small))
         out = distill_sweep(DistillationConfig(
             input=field, t=0.9, p_v_samples=np.linspace(-3, 3, 7),
         ))
-        assert calls == {"log_negativity": 1, "fidelity_to_pure": 0}
+        assert calls == {"log_negativity": 1}
         for rec in out.records:
             assert rec.l1 == pytest.approx(rec.density * np.exp(rec.neg), rel=1e-14)
+
+    def test_fidelity_records_come_from_columns_alone(self, monkeypatch, grid_small):
+        # with a target the blur takes a third column, f = w_q B T, and each
+        # outcome's fidelity is a dot product with it: one target, and no
+        # outcome field or overlap
+        targets = []
+
+        def counted(*args):
+            targets.append(args)
+            return ws.cubic_phase_wigner(*args)
+
+        monkeypatch.setattr(distill, "cubic_phase_wigner", counted)
+        _forbid_outcome_fields(monkeypatch)
+        out = distill_sweep(DistillationConfig(
+            input=CubicPhase(0.05, 0.0, 0.3), t=0.9, p_v_samples=np.linspace(-3, 3, 7),
+            input_grid=grid_small, s_targ=4.0,
+        ))
+        assert len(targets) == 1
+        assert all(0.0 < r.fid <= 1.0 for r in out.records)
+
+    def test_fidelity_sweep_holds_no_field_of_its_own(self, monkeypatch):
+        # the input and the target are built before the trace; the sweep
+        # itself holds neither B whole nor an outcome field, only row blocks
+        grid = ws.build_grid(-10, 10, 513, -16, 16, 1025)
+        config = DistillationConfig(
+            input=CubicPhase(0.05, 0.0, 0.3), t=0.9, p_v_samples=np.linspace(-3, 3, 7),
+            input_grid=grid, s_targ=4.0,
+        )
+        field = ws.resource_wigner(config.input, grid)
+        q, p = grid.axes
+        target = ws.cubic_phase_wigner(
+            0.05, 0.0, 4.0, ws.PhaseSpaceGrid(axes=(q, p / np.sqrt(config.t)))
+        )
+        monkeypatch.setattr(distill, "resource_wigner", lambda *args: field)
+        monkeypatch.setattr(distill, "cubic_phase_wigner", lambda *args: target)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            distill_sweep(config)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.0 * field.samples.nbytes
 
     def test_far_outcome_raises_naming_it(self, grid_small):
         config = DistillationConfig(

@@ -4,7 +4,8 @@ import pathlib
 import subprocess
 import sys
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "wigsim"
+TESTS = pathlib.Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "wigsim"
 
 
 def unused_imports(source: str) -> list:
@@ -21,11 +22,12 @@ def unused_imports(source: str) -> list:
 
 
 def test_no_unused_imports():
-    # __init__.py imports in order to re-export, so it is not checked
+    # the package's __init__.py imports in order to re-export, so it is not
+    # checked; the tests are
     found = {
-        path.name: unused_imports(path.read_text())
-        for path in sorted(SRC.glob("*.py"))
-        if path.name != "__init__.py"
+        f"{path.parent.name}/{path.name}": unused_imports(path.read_text())
+        for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
+        if path != SRC / "__init__.py"
     }
     assert {name: names for name, names in found.items() if names} == {}
 

@@ -9,6 +9,7 @@ from wigsim import UnnormalizedFieldError
 from wigsim.grids import field_from_samples, tensor_product
 from wigsim.monotones import (
     fidelity_initial_analytic,
+    fidelity_of_overlap,
     fidelity_to_pure,
     log_negativity,
     log_negativity_of_l1,
@@ -105,6 +106,11 @@ class TestFidelity:
     def test_grid_mismatch_rejected(self, grid_default, grid_small):
         with pytest.raises(ws.GridMismatchError):
             fidelity_to_pure(vacuum_wigner(grid_default), vacuum_wigner(grid_small))
+
+    @pytest.mark.parametrize("overlap,fid", [(-1e-12, 0.0), (0.5, 0.5), (1.01, 1.0 + ws.TOL_NORM)])
+    def test_overlap_clamped_into_range(self, overlap, fid):
+        # the one clamp rule of fidelity_to_pure and the sweep's fidelity column
+        assert fidelity_of_overlap(overlap) == fid
 
     def test_analytic_form(self):
         assert abs(fidelity_initial_analytic(1.0, 4.0) - 1.0 / np.cosh(3.0)) < 1e-15

@@ -10,8 +10,6 @@ import wigsim as ws
 from wigsim import OutOfDomainError, symplectic, UnnormalizedFieldError
 from wigsim.grids import field_from_samples, integrate_full, tensor_product
 from wigsim.states import (
-    GaussianStateParams,
-    gaussian_wigner,
     number_state_wigner,
     vacuum_wigner,
 )
