@@ -217,10 +217,14 @@ def _blur(field: WignerField, t: float, whole: bool = False, target=None) -> tup
         lo, hi = np.searchsorted(src, q[rows][[0, -1]] + [-reach, reach])
         diff = q[rows, None] - src[lo:hi]
         block = (np.exp(-diff * diff / var2) * weights[lo:hi]) @ field.samples[lo:hi]
-        parts = [block, np.abs(block)] + ([] if target is None else [block * target[rows]])
-        columns += w_q[rows] @ np.array(parts)
+        columns[0] += w_q[rows] @ block
+        if target is not None:
+            columns[2] += w_q[rows] @ (block * target[rows])
+        # |block| only once block * T is freed: one block-sized temporary at a time
+        magnitude = np.abs(block)
+        columns[1] += w_q[rows] @ magnitude
         if whole:
-            np.multiply(block, 1.0 / lift, out=blurred[rows], where=parts[1] >= floor)
+            np.multiply(block, 1.0 / lift, out=blurred[rows], where=magnitude >= floor)
     columns /= lift
     return columns, blurred
 

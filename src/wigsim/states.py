@@ -275,8 +275,10 @@ def _cubic_airy_samples(gamma: float, P: float, s: float, q, p) -> np.ndarray:
     arg = (2.0 * b + 1.0 / (24.0 * g * sig2 * sig2)) / cbrt
     expo = 2.0 * b * kappa + c0 - q * q / (2.0 * sig2)
 
-    # fold the Airy decay exp(-(2/3) arg^{3/2}) into the exponent
-    expo = expo - (2.0 / 3.0) * np.maximum(arg, 0.0) ** 1.5
+    # fold the Airy decay exp(-(2/3) arg^{3/2}) into the exponent; b is
+    # spent, so max(arg, 0) takes its buffer rather than a block of its own
+    pos = np.maximum(arg, 0.0, out=b)
+    expo -= (2.0 / 3.0) * pos * np.sqrt(pos)
     amp = 2.0 * np.pi / (cbrt * np.sqrt(8.0 * np.pi**3 * sig2))
     # |Ai| and the scaled Ai stay below 1, so where amp e^expo < 2^-1022 the
     # sample is below it too: exp gets -inf there, not its slow subnormal path

@@ -570,10 +570,10 @@ class TestSweep:
         assert len(targets) == 1
         assert all(0.0 < r.fid <= 1.0 for r in out.records)
 
-    def test_fidelity_sweep_holds_no_field_of_its_own(self, monkeypatch):
-        # the input and the target are built before the trace; the sweep
-        # itself holds neither B whole nor an outcome field, only row blocks
-        grid = ws.build_grid(-10, 10, 513, -16, 16, 1025)
+    @staticmethod
+    def _sweep_peak_in_fields(monkeypatch, grid):
+        # tracemalloc peak of a fidelity sweep, in input field sizes; the
+        # input and the target are built before the trace
         config = DistillationConfig(
             input=CubicPhase(0.05, 0.0, 0.3), t=0.9, p_v_samples=np.linspace(-3, 3, 7),
             input_grid=grid, s_targ=4.0,
@@ -593,7 +593,19 @@ class TestSweep:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= 1.0 * field.samples.nbytes
+        return peak / field.samples.nbytes
+
+    def test_fidelity_sweep_holds_no_field_of_its_own(self, monkeypatch):
+        # the sweep itself holds neither B whole nor an outcome field, only row blocks
+        grid = ws.build_grid(-10, 10, 513, -16, 16, 1025)
+        assert self._sweep_peak_in_fields(monkeypatch, grid) <= 1.0
+
+    def test_single_block_sweep_holds_no_copy_of_its_block(self, monkeypatch):
+        # one row block spans 129 x 257: the sweep holds the block, |block|
+        # or block * T, and the banded kernel (2.51 fields), not a stacked
+        # copy of the block's column products as well (6.47)
+        grid = ws.build_grid(-10, 10, 129, -16, 16, 257)
+        assert self._sweep_peak_in_fields(monkeypatch, grid) <= 2.6
 
     def test_far_outcome_raises_naming_it(self, grid_small):
         config = DistillationConfig(

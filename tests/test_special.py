@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import scipy.special
@@ -35,8 +38,36 @@ def test_airy_propagates_nan():
         assert np.isnan(v[0]) and np.all(np.isfinite(v[1:]))
 
 
-# the out-of-place Airy evaluator that the in-place loops of wigsim.special
-# replaced, kept as the reference for bit-identity
+# the lattice covers the Airy arguments of the 1025 x 2049 protocol grid;
+# each bound is the 30-term forward-sum evaluator's error there, rounded up
+# (measured 3.55e-11, 1.06e-13, 2.84e-08, 2.62e-11), so no branch may lose
+# accuracy. scipy's airye is nan for real x < 0, where the scaled form is Ai.
+_BRANCHES = {
+    "left": (lambda x: x < -6.0, 3.6e-11),
+    "mid_neg": (lambda x: (x >= -6.0) & (x <= 0.0), 1.1e-13),
+    "mid_pos": (lambda x: (x > 0.0) & (x <= 6.0), 2.9e-8),
+    "right": (lambda x: x > 6.0, 2.7e-11),
+}
+
+
+@pytest.fixture(scope="module")
+def scaled_airy_error():
+    x = np.linspace(-50.0, 170.0, 220_001)
+    ref = np.where(x > 0, scipy.special.airye(x)[0], scipy.special.airy(x)[0])
+    return x, np.abs(airy_ai_scaled(x) - ref)
+
+
+@pytest.mark.parametrize("branch", sorted(_BRANCHES))
+def test_airy_scaled_branch_accuracy(scaled_airy_error, branch):
+    x, err = scaled_airy_error
+    inside, bound = _BRANCHES[branch]
+    assert np.count_nonzero(inside(x)) > 1000
+    assert np.max(err[inside(x)]) < bound
+
+
+# the out-of-place form of the in-place Horner loops of wigsim.special,
+# kept as the reference for bit-identity; its tables are rounded from
+# exact fractions by a route of their own
 _C1 = 0.3550280538878172
 _C2 = 0.2588194037928068
 _U = np.empty(20)
@@ -45,33 +76,41 @@ for _k in range(1, 20):
     _U[_k] = _U[_k - 1] * (6 * _k - 5) * (6 * _k - 1) / (72.0 * _k)
 
 
+def _exact_table(c, offset):
+    # c / prod_{j<=k} 3j (3j + offset), rounded once, for k = 0 .. 23
+    return [
+        float(Fraction(c) / math.prod((3 * j) * (3 * j + offset) for j in range(1, k + 1)))
+        for k in range(24)
+    ]
+
+
+_F = _exact_table(_C1, -1)
+_G = _exact_table(_C2, 1)
+
+
 def _series_reference(x):
-    t = x**3
-    f = np.ones_like(x)
-    g = x.copy()
-    term_f = np.ones_like(x)
-    term_g = x.copy()
-    for k in range(1, 31):
-        term_f = term_f * t / ((3 * k) * (3 * k - 1))
-        term_g = term_g * t / ((3 * k) * (3 * k + 1))
-        f += term_f
-        g += term_g
-    return _C1 * f - _C2 * g
+    t = x * x * x
+    f = np.zeros_like(x)
+    g = np.zeros_like(x)
+    for k in range(23, -1, -1):
+        f = f * t + _F[k]
+        g = g * t + _G[k]
+    return f - x * g
 
 
 def _asym_right_reference(x):
-    zeta = (2.0 / 3.0) * x**1.5
+    r = 1.5 / (x * np.sqrt(x))
     s = np.zeros_like(x)
     for k in range(18, -1, -1):
         sign = -1.0 if k % 2 else 1.0
-        s = s / zeta + sign * _U[k]
-    pref = 1.0 / (2.0 * np.sqrt(np.pi) * x**0.25)
+        s = s * r + sign * _U[k]
+    pref = 1.0 / (2.0 * np.sqrt(np.pi) * np.sqrt(np.sqrt(x)))
     return pref * s
 
 
 def _asym_left_reference(x):
     z = -x
-    zeta = (2.0 / 3.0) * z**1.5
+    zeta = (2.0 / 3.0) * z * np.sqrt(z)
     inv2 = 1.0 / zeta**2
     even = np.zeros_like(z)
     odd = np.zeros_like(z)
@@ -80,7 +119,7 @@ def _asym_left_reference(x):
         even = even * inv2 + sign * _U[2 * k]
         odd = odd * inv2 + sign * _U[2 * k + 1]
     phase = zeta - np.pi / 4.0
-    pref = 1.0 / (np.sqrt(np.pi) * z**0.25)
+    pref = 1.0 / (np.sqrt(np.pi) * np.sqrt(np.sqrt(z)))
     return pref * (np.cos(phase) * even + np.sin(phase) * (odd / zeta))
 
 
@@ -95,7 +134,7 @@ def airy_ai_scaled_reference(x):
     out[left] = _asym_left_reference(arr[left])
     out[mid_neg] = _series_reference(arr[mid_neg])
     sub = arr[mid_pos]
-    out[mid_pos] = _series_reference(sub) * np.exp((2.0 / 3.0) * sub**1.5)
+    out[mid_pos] = _series_reference(sub) * np.exp((2.0 / 3.0) * sub * np.sqrt(sub))
     out[right] = _asym_right_reference(arr[right])
     return out
 
@@ -107,7 +146,8 @@ def test_in_place_airy_bit_identical_to_reference():
     )
     ref = airy_ai_scaled_reference(x)
     assert np.array_equal(airy_ai_scaled(x), ref, equal_nan=True)
-    decay = np.exp(-(2.0 / 3.0) * np.maximum(x, 0.0) ** 1.5)
+    pos = np.maximum(x, 0.0)
+    decay = np.exp(-(2.0 / 3.0) * pos * np.sqrt(pos))
     assert np.array_equal(airy_ai(x), ref * decay, equal_nan=True)
 
 

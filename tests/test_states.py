@@ -333,7 +333,8 @@ def _unflushed_cubic_samples(gamma, P, s, q, p):
     cbrt = (6.0 * g) ** (1.0 / 3.0)
     arg = (2.0 * b + 1.0 / (24.0 * g * sig2 * sig2)) / cbrt
     expo = 2.0 * b * kappa + c0 - q * q / (2.0 * sig2)
-    expo = expo - (2.0 / 3.0) * np.maximum(arg, 0.0) ** 1.5
+    pos = np.maximum(arg, 0.0)
+    expo = expo - (2.0 / 3.0) * pos * np.sqrt(pos)
     amp = 2.0 * np.pi / (cbrt * np.sqrt(8.0 * np.pi**3 * sig2))
     return amp * (np.exp(expo) * airy_ai_scaled(arg))
 
