@@ -392,7 +392,7 @@ def on_gate_output(gamma: float, q_tilde: float, grid: PhaseSpaceGrid) -> Wigner
 
     def psi(q):
         q = np.asarray(q, dtype=float)
-        return np.exp(-((q + q_tilde) ** 2) / 4.0 + 1j * gamma * q**3)
+        return np.exp(-((q + q_tilde) ** 2) / 4.0 + 1j * gamma * (q * q * q))
 
     return wigner_from_wavefunction(psi, grid)
 

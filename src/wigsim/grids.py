@@ -287,9 +287,9 @@ def renormalize(field: WignerField) -> WignerField:
     total = integrate_full(field)
     if abs(total) < 1e-12:
         raise NonNormalizableError("field integral is negligible, cannot rescale")
-    return WignerField(
-        grid=field.grid, samples=field.samples / total, normalized=True
-    )
+    samples = field.samples / total
+    samples.setflags(write=False)  # handed over, so the field keeps it uncopied
+    return WignerField(grid=field.grid, samples=samples, normalized=True)
 
 
 def marginal_over(field: WignerField, dropped_modes) -> WignerField:
@@ -318,6 +318,7 @@ def tensor_product(a: WignerField, b: WignerField) -> WignerField:
     if not (a.normalized and b.normalized):
         raise UnnormalizedFieldError("tensor_product requires normalized factors")
     joint = np.multiply.outer(a.samples, b.samples)
+    joint.setflags(write=False)  # handed over, so the field keeps it uncopied
     grid = PhaseSpaceGrid(axes=a.grid.axes + b.grid.axes)
     return field_from_samples(grid, joint)
 

@@ -242,7 +242,7 @@ def cubic_phase_wavefunction(gamma: float, P: float, s: float):
 
     def psi(q):
         q = np.asarray(q, dtype=float)
-        return pref * np.exp(1j * gamma * q**3 - q * q / width + 0.5j * P * q)
+        return pref * np.exp(1j * gamma * (q * q * q) - q * q / width + 0.5j * P * q)
 
     return psi
 

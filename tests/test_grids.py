@@ -188,6 +188,29 @@ class TestComposition:
         with pytest.raises(UnnormalizedFieldError):
             tensor_product(a, half)
 
+    @pytest.mark.parametrize("op", ["tensor_product", "renormalize"])
+    def test_output_is_not_copied(self, op):
+        # the fresh product or quotient is handed to the field read-only, so
+        # the field keeps it rather than copying it (2.0 field sizes if it did)
+        g = ws.build_grid(-8, 8, 41, -8, 8, 41)
+        single = ws.number_state_wigner(1, g)
+        vac = ws.vacuum_wigner(g)
+        joint = tensor_product(single, vac)
+        call = {
+            "tensor_product": lambda: tensor_product(single, vac),
+            "renormalize": lambda: renormalize(joint),
+        }[op]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = call()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert out.samples.shape == joint.samples.shape
+        assert peak <= 1.5 * joint.samples.nbytes
+
     def test_marginal_inverts_tensor(self, grid_tiny):
         a = ws.vacuum_wigner(grid_tiny)
         b = ws.number_state_wigner(1, grid_tiny)

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import wigsim as ws
-from wigsim import OutOfDomainError, symplectic, UnnormalizedFieldError
+from wigsim import OutOfDomainError, grids, symplectic, UnnormalizedFieldError
 from wigsim.grids import field_from_samples, integrate_full, tensor_product
 from wigsim.states import (
     number_state_wigner,
@@ -166,7 +166,13 @@ class TestApplySymplectic:
 
     @pytest.mark.parametrize(
         "case",
-        ["squeeze", "rotate", "beamsplitter", "rotate_then_beamsplitter"],
+        [
+            "squeeze",
+            "rotate",
+            "beamsplitter",
+            "rotate_then_beamsplitter",
+            "two_mode_squeeze",
+        ],
     )
     def test_matches_full_multilinear_reference(self, case):
         # each op pushes part of the support off the grid (the integral
@@ -195,6 +201,15 @@ class TestApplySymplectic:
                 compose(bs_d, mode0_rotation(0.5)),
                 [(0, 1, 2, 3)],
             ),
+            # squeezes and displacements on both modes: four 1-D passes, the
+            # three past the first each moving a middle axis to the front
+            "two_mode_squeeze": (
+                tensor_product(number_state_wigner(1, two), vacuum_wigner(two)),
+                SymplecticOp(
+                    S=np.diag(np.exp([-0.3, 0.3, 0.2, -0.2])), d=[1.0, -1.0, 1.5, 1.0]
+                ),
+                [(0,), (1,), (2,), (3,)],
+            ),
         }[case]
         assert _blocks(op.S) == blocks
         out = apply_symplectic(field, op)
@@ -208,12 +223,14 @@ class TestApplySymplectic:
 
     @pytest.mark.parametrize("case", ["beamsplitter", "rotation", "rotation_beamsplitter"])
     def test_beamsplitter_peak_memory(self, case):
-        # the output plus one joint-sized temporary, whatever S couples: each
-        # row block of output points builds its own sources, corner indices
-        # and weights and gathers from a view of the samples, and the output
-        # is handed to the field without a copy. The 4-D block runs on 33^4:
-        # on 25^4 the temporaries of one 2^15-point row block of four axes
-        # alone come to about two fields.
+        # the output plus one joint-sized temporary, whatever S couples: a
+        # pass over axes that do not lead first makes one transposing copy
+        # with them in front, freed before the next pass allocates; each
+        # chunk of output points builds its own sources, corner rows and
+        # weights and gathers whole rows; the output is handed to the field
+        # without a copy. Traced: 2.03 fields for the beam splitter, 1.54 for
+        # the rotation. The 4-D block runs on 33^4: on 25^4 the temporaries
+        # of one 2^15-point chunk of four axes alone come to about two fields.
         two = ws.build_grid(-8, 8, 41, -8, 8, 41)
         small = ws.build_grid(-6, 6, 33, -6, 6, 33)
         field, op = {
@@ -237,6 +254,16 @@ class TestApplySymplectic:
             tracemalloc.stop()
         assert out.samples.shape == field.samples.shape
         assert peak <= 2.5 * field.samples.nbytes
+
+    def test_row_blocks_leave_the_result_unchanged(self, monkeypatch):
+        # 64-point row blocks split the beam splitter's 625 block points into
+        # several chunks, and each corner then gathers one row at a time
+        two = ws.build_grid(-6, 6, 25, -6, 6, 25)
+        field = tensor_product(number_state_wigner(1, two), vacuum_wigner(two))
+        op = SymplecticOp(S=sym_beamsplitter(0.7).S, d=[2.0, -2.0, 1.5, 2.0])
+        whole = apply_symplectic(field, op)
+        monkeypatch.setattr(grids, "_BLOCK_POINTS", 64)
+        assert np.array_equal(apply_symplectic(field, op).samples, whole.samples)
 
     def test_rotation_output_is_not_copied(self, monkeypatch):
         # a block over every axis leaves them in place, so the resampled
