@@ -75,7 +75,7 @@ from .monotones import (
     fidelity_to_pure,
     log_negativity,
 )
-from .fock import FockDensity, fock_density, wigner_from_fock
+from .fock import FockState, fock_density, wigner_from_fock
 from .distill import (
     DistillationConfig,
     DistillationOutcome,

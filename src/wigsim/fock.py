@@ -1,16 +1,18 @@
 """Truncated Fock-basis route to Wigner fields, used as an independent check.
 
-A density matrix in the number basis maps to phase space through the kernel
-of |m><n| (hbar = 2, u = q^2 + p^2, m >= n):
+A pure state with number-basis amplitudes v_n is the wavefunction
+psi(x) = sum_n v_n phi_n(x), whose Hermite functions (hbar = 2) follow
+from phi_0 = (2 pi)^(-1/4) e^{-x^2/4} by the stable recurrence
 
-    W_mn(q, p) = (1/2pi) (-1)^n sqrt(n!/m!) (q - ip)^{m-n}
-                 L_n^{(m-n)}(u) e^{-u/2}
+    phi_{n+1}(x) = (x phi_n(x) - sqrt(n) phi_{n-1}(x)) / sqrt(n + 1),
 
-with W_nm the complex conjugate. The n = 0, m = 0 kernel is the vacuum
-Gaussian, which pins the hbar = 2 normalization and the (q - ip)
-orientation; both are also exercised against first-moment identities in the
-test suite. This route shares no code with the analytic generators (its
-Laguerre recurrence is its own), so agreement between the two is a real check.
+and grids.wigner_from_wavefunction takes psi to phase space. phi_0 pins the
+hbar = 2 normalization and x = a + a^dagger the orientation, which the ON
+states with imaginary coherence and the rotated squeezed states of the
+oracle tests exercise. The amplitudes and the recurrence share no code with
+the analytic generators, so agreement between the two is a real check; the
+transform itself is checked against the Airy closed form of the cubic phase
+state.
 """
 
 from __future__ import annotations
@@ -21,37 +23,30 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TruncationError, UndefinedStateError
-from .grids import PhaseSpaceGrid, WignerField, field_from_samples
+from .grids import PhaseSpaceGrid, WignerField, wigner_from_wavefunction
 from .states import ON, Gaussian, GaussianStateParams, Number, PhotonMod, ResourceStateSpec
 
 _TAIL_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
-class FockDensity:
-    """Density matrix on the photon-number basis, truncated at `cutoff`."""
+class FockState:
+    """Pure state by its photon-number amplitudes, truncated at `cutoff`."""
 
     cutoff: int
-    matrix: np.ndarray
+    amplitudes: np.ndarray
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
-        if mat.shape != (self.cutoff, self.cutoff):
-            raise ValueError("matrix shape must be (cutoff, cutoff)")
-        if np.max(np.abs(mat - mat.conj().T)) > 1e-12:
-            raise ValueError("matrix must be Hermitian")
-        tr = np.trace(mat).real
-        if abs(tr - 1.0) > 1e-6:
-            raise ValueError(f"trace is {tr:.8f}, expected 1")
-        if np.min(np.linalg.eigvalsh(mat)) < -1e-8:
-            raise ValueError("matrix must be positive semidefinite")
-        mat = mat.copy()
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
-
-
-def _pure_density(vec: np.ndarray, cutoff: int) -> FockDensity:
-    return FockDensity(cutoff=cutoff, matrix=np.outer(vec, vec.conj()))
+        vec = np.array(self.amplitudes, dtype=complex)
+        if vec.shape != (self.cutoff,):
+            raise ValueError("amplitudes shape must be (cutoff,)")
+        if not np.all(np.isfinite(vec)):
+            raise ValueError("amplitudes must be finite")
+        norm = float(np.vdot(vec, vec).real)
+        if abs(norm - 1.0) > 1e-6:
+            raise ValueError(f"squared norm is {norm:.8f}, expected 1")
+        vec.setflags(write=False)
+        object.__setattr__(self, "amplitudes", vec)
 
 
 def _squeezed_vacuum_vector(s: float, cutoff: int) -> np.ndarray:
@@ -115,8 +110,8 @@ def _photon_mod_to_fock(spec: PhotonMod, cutoff: int) -> np.ndarray:
     return v
 
 
-def fock_density(spec: ResourceStateSpec, cutoff: int) -> FockDensity:
-    """Number-basis density matrix of a supported resource state.
+def fock_density(spec: ResourceStateSpec, cutoff: int) -> FockState:
+    """Number-basis amplitudes of a supported resource state.
 
     Supported: Number, ON, PhotonMod, and pure zero-mean Gaussian states.
     Cubic-phase states converge too slowly in this basis and are cross
@@ -129,77 +124,38 @@ def fock_density(spec: ResourceStateSpec, cutoff: int) -> FockDensity:
             raise TruncationError(f"cutoff {cutoff} cannot hold |{spec.n}>")
         v = np.zeros(cutoff, dtype=complex)
         v[spec.n] = 1.0
-        return _pure_density(v, cutoff)
+        return FockState(cutoff, v)
     if isinstance(spec, ON):
         if spec.N >= cutoff:
             raise TruncationError(f"cutoff {cutoff} cannot hold |{spec.N}>")
         v = np.zeros(cutoff, dtype=complex)
         v[0] = 1.0
         v[spec.N] = spec.a
-        return _pure_density(v / np.sqrt(1.0 + abs(spec.a) ** 2), cutoff)
+        return FockState(cutoff, v / np.sqrt(1.0 + abs(spec.a) ** 2))
     if isinstance(spec, PhotonMod):
-        return _pure_density(_photon_mod_to_fock(spec, cutoff), cutoff)
+        return FockState(cutoff, _photon_mod_to_fock(spec, cutoff))
     if isinstance(spec, Gaussian):
-        return _pure_density(_gaussian_to_fock(spec.params, cutoff), cutoff)
+        return FockState(cutoff, _gaussian_to_fock(spec.params, cutoff))
     raise ValueError(f"no Fock expansion for {type(spec).__name__}")
 
 
-def wigner_from_fock(rho: FockDensity, grid: PhaseSpaceGrid) -> WignerField:
-    """Sum the Moyal kernels of every density-matrix element on the grid.
+def wigner_from_fock(state: FockState, grid: PhaseSpaceGrid) -> WignerField:
+    """Wigner field of the state's Hermite-function wavefunction.
 
-    The radial factors depend on u = q^2 + p^2 only, so each k = m - n
-    diagonal is accumulated once over the unique u values of the lattice
-    (a symmetric grid has ~8x fewer of those than nodes) with the Laguerre
-    recurrence run in n at fixed alpha = k, then scattered back and attached
-    to the angular factor. The k! and z^k pieces are folded together with
-    the Gaussian envelope into A_k = z^k e^{-u/2} / sqrt(k!), which stays
-    bounded by 1 pointwise for every k, so large cutoffs cannot overflow
-    the way separate factorial and power terms would; the n-recurrence
-    likewise carries sqrt(n! k! / (n+k)!) <= 1 instead of bare factorials.
-
-    Elements with |rho| <= 1e-18 max|rho| are negligible: each diagonal's
-    recurrence stops at its last element above that, and the k loop after
-    the last diagonal holding one, so padding the cutoff with negligible
-    elements leaves the field bit-identical.
+    Trailing amplitudes at or below 1e-18 of the largest are dropped before
+    the sum, so padding the cutoff with negligible amplitudes leaves the
+    field bit-identical.
     """
     grid.require_single_mode("wigner_from_fock")
-    mat = rho.matrix
-    q, p = grid.open_mesh()
-    u = (q * q + p * p).ravel()
-    uu, inv = np.unique(u, return_inverse=True)
+    mag = np.abs(state.amplitudes)
+    v = state.amplitudes[: np.flatnonzero(mag > 1e-18 * mag.max())[-1] + 1]
 
-    scale = max(np.max(np.abs(mat)), 1e-300)
-    big = np.abs(mat) > 1e-18 * scale
-    rows, cols = np.nonzero(big)
-    total = np.zeros(u.size)
-    z = (q - 1j * p).astype(complex).ravel()
-    ang = np.exp(-u / 2.0).astype(complex)
-    z_step = np.empty_like(z)
-    lag_next = np.empty(uu.size)
+    def psi(x):
+        prev, cur = np.zeros_like(x), np.exp(-x * x / 4.0) / (2.0 * np.pi) ** 0.25
+        out = v[0] * cur
+        for n in range(1, v.size):
+            prev, cur = cur, (x * cur - math.sqrt(n - 1) * prev) / math.sqrt(n)
+            out += v[n] * cur
+        return out
 
-    for k in range(int(np.max(rows - cols)) + 1):
-        # rho[n + k, n] multiplies W(|n+k><n|)
-        diag = np.diagonal(mat, offset=-k)
-        if k > 0:
-            ang *= np.divide(z, math.sqrt(k), out=z_step)
-        kept = np.flatnonzero(np.diagonal(big, offset=-k))
-        if kept.size == 0:
-            continue
-        # L_n^(k)(uu) from L_{-1} = 0 and L_0 = 1, updated in place
-        coef = 1.0
-        lag_prev, lag_cur = np.zeros(uu.size), np.ones(uu.size)
-        acc = diag[0] * lag_cur
-        for n in range(1, kept[-1] + 1):
-            # lag_next = ((2n - 1 + k - uu) lag_cur - (n - 1 + k) lag_prev) / n
-            np.subtract(2 * n - 1 + k, uu, out=lag_next)
-            lag_next *= lag_cur
-            lag_prev *= n - 1 + k
-            lag_next -= lag_prev
-            lag_next /= n
-            lag_prev, lag_cur, lag_next = lag_cur, lag_next, lag_prev
-            coef *= -math.sqrt(n / (n + k))
-            acc += diag[n] * coef * lag_cur
-        total += (1.0 if k == 0 else 2.0) * (ang * acc[inv]).real
-
-    w = total.reshape(grid.shape) / (2.0 * np.pi)
-    return field_from_samples(grid, w)
+    return wigner_from_wavefunction(psi, grid)

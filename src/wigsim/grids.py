@@ -34,7 +34,7 @@ DEFAULT_POINTS = 1025
 
 # points per block of leading-axis rows: few enough that every temporary of a
 # row-block loop stays in the L2 cache, enough to amortize numpy's call cost.
-# Every such loop (fills, integrals, FFT batches, resampler gathers, CSV
+# Every such loop (fills, integrals, chirp-z batches, resampler gathers, CSV
 # checks) takes its blocks from row_blocks.
 _BLOCK_POINTS = 32768
 
@@ -340,19 +340,21 @@ def wigner_from_wavefunction(
 
     W(q, p) = (1/2pi) * int dy psi*(q - y) psi(q + y) exp(-i p y)
 
-    psi is called with ndarray arguments. It is first sampled on the grid's
-    q-axis extended by the axis's own width on each side; that lattice gives
-    the norm int |psi|^2 dx and the support where |psi|^2 exceeds 1e-32 of
-    its peak, and the y-range is half that support's width. psi must be
-    negligible beyond the lattice.
+    psi is called once, with one 1-D array: the lattice x = q_min + h j
+    over the grid's q-axis extended by the axis's own width on each side,
+    with step h = dq / r and r = ceil(dq 4 (n_p - 1) dp / 2pi), so h is a
+    whole fraction of dq and the alias period 2 pi / h is at least four grid
+    p-widths. The lattice gives the norm int |psi|^2 dx and the support
+    where |psi|^2 exceeds 1e-32 of its peak, and the y-range is half that
+    support's width. psi must be negligible beyond the lattice; where a
+    row's y-range reaches past it, psi is taken as 0.
 
-    The y-integral is one FFT per block of q-rows. With n = 4 (n_p - 1) and
-    dy = 2 pi / (n dp), bin k of the transform of psi*(q - y) psi(q + y)
-    exp(-i p_min y) is W at p_min + k dp, so the first n_p bins land on the
-    grid's own p-axis; y-samples beyond n are folded modulo n, which leaves
-    every bin exact. The sampled sum aliases W(q, p + 2 pi j / dy), j != 0,
-    onto W(q, p): W must be negligible farther than three grid p-widths
-    beyond either p-edge.
+    Each q-row's product psi*(q - y) psi(q + y) on y = k h is a gather from
+    the lattice, and each block of rows goes to the grid's own p-axis by a
+    Bluestein chirp-z transform: two FFTs of a power-of-two length against
+    one chirp spectrum built per call. The sampled sum aliases
+    W(q, p + 2 pi j / h), j != 0, onto W(q, p): W must be negligible
+    farther than three grid p-widths beyond either p-edge.
 
     The result is divided by the norm of psi, never by its own integral,
     so unnormalized wavefunctions are accepted and mass that falls off the
@@ -362,30 +364,46 @@ def wigner_from_wavefunction(
     grid.require_single_mode("wigner_from_wavefunction")
     q, p = grid.axes
     dq, dp = grid.spacings
-    x = q[0] + dq * np.arange(1 - q.size, 2 * q.size - 1)
-    dens = np.abs(psi(x)) ** 2
+    r = math.ceil(dq * 4 * (p.size - 1) * dp / (2 * np.pi))
+    h = dq / r
+    m = (q.size - 1) * r  # lattice steps per grid q-width
+    x = q[0] + h * np.arange(-m, 2 * m + 1)
+    amp = psi(x)
+    dens = np.abs(amp) ** 2
     norm = float(dens @ trapezoid_weights(x))
     if not (norm >= 1e-8 and np.isfinite(norm)):
         raise NonNormalizableError(
             f"wavefunction norm {norm:.3e} near the grid is negligible or not finite"
         )
-    support = x[dens > 1e-32 * dens.max()]
+    support = np.flatnonzero(dens > 1e-32 * dens.max())
+    half = math.ceil((support[-1] - support[0]) / 2)
+    n_y = 2 * half + 1
+    # windows[i, k] = psi(q_i + (k - half) h), zero past the lattice
+    windows = np.lib.stride_tricks.sliding_window_view(
+        np.pad(amp, half), n_y
+    )[m :: r][: q.size]
 
-    n = 4 * (p.size - 1)
-    dy = 2 * np.pi / (n * dp)
-    half = int(np.ceil((support[-1] - support[0]) / (2 * dy)))
-    y = dy * np.arange(-half, half + 1)
-    phase = np.exp(-1j * p[0] * y)
-    start = -half % n  # where y[0] falls in the folded sequence
-    width = n * int(np.ceil((start + y.size) / n))
+    # sum_k f_k e^{-i p_j y_k}, y_k = (k - half) h, p_j = p_min + j dp, as
+    # the convolution of f_k e^{-i (p_min y_k + t k^2 / 2)} with e^{i t l^2 / 2}
+    # (t = dp h), l = j - k, from -(n_y - 1) to n_p - 1
+    size = 1 << (n_y + p.size - 2).bit_length()
+    t = dp * h
+    k = np.arange(n_y)
+    pre = np.exp(-1j * (p[0] * h * (k - half) + t / 2 * k * k))
+    lag = np.arange(size)
+    lag[size - n_y + 1 :] -= size
+    chirp = np.fft.fft(np.exp(0.5j * t * lag * lag))
+    j = np.arange(p.size)
+    post = np.exp(1j * t * j * (half - j / 2)) * (h / (2 * np.pi * norm))
+
     w = np.empty(grid.shape)
-    for block in row_blocks((q.size, width)):
-        u = psi(q[block, None] + y)  # y is symmetric: u[:, ::-1] is psi(q - y)
-        seq = np.zeros((u.shape[0], width), dtype=complex)
-        seq[:, start : start + y.size] = np.conjugate(u[:, ::-1]) * u * phase
-        folded = seq.reshape(u.shape[0], -1, n).sum(axis=1)
-        w[block] = np.fft.fft(folded, axis=1).real[:, : p.size]
-    return field_from_samples(grid, w * (dy / (2 * np.pi * norm)))
+    for block in row_blocks((q.size, size)):
+        u = windows[block]
+        f = np.fft.fft(np.conjugate(u[:, ::-1]) * u * pre, n=size, axis=1)
+        f *= chirp
+        w[block] = (np.fft.ifft(f, axis=1)[:, : p.size] * post).real
+    w.setflags(write=False)  # handed over, so the field keeps it uncopied
+    return field_from_samples(grid, w)
 
 
 def csv_header(mode_count: int) -> str:

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import wigsim as ws
 from wigsim import TruncationError
-from wigsim.fock import FockDensity, fock_density, wigner_from_fock
+from wigsim.fock import FockState, fock_density, wigner_from_fock
 from wigsim.states import (
     ON,
     CubicPhase,
@@ -22,18 +24,18 @@ def grid_oracle():
 
 
 class TestFockDensity:
-    def test_number_state_matrix(self):
-        rho = fock_density(Number(n=2), 8)
-        assert rho.matrix.shape == (8, 8)
-        assert rho.matrix[2, 2] == 1.0
-        assert np.sum(np.abs(rho.matrix)) == 1.0
+    def test_number_state_amplitudes(self):
+        state = fock_density(Number(n=2), 8)
+        assert state.amplitudes.shape == (8,)
+        assert state.amplitudes[2] == 1.0
+        assert np.sum(np.abs(state.amplitudes)) == 1.0
 
     def test_on_state_weights(self):
-        rho = fock_density(ON(N=3, a=0.5), 8)
+        v = fock_density(ON(N=3, a=0.5), 8).amplitudes
         # populations 1/(1+0.25) and 0.25/(1+0.25)
-        assert abs(rho.matrix[0, 0] - 0.8) < 1e-12
-        assert abs(rho.matrix[3, 3] - 0.2) < 1e-12
-        assert abs(rho.matrix[0, 3] - 0.4) < 1e-12
+        assert abs(abs(v[0]) ** 2 - 0.8) < 1e-12
+        assert abs(abs(v[3]) ** 2 - 0.2) < 1e-12
+        assert abs(v[0] * np.conj(v[3]) - 0.4) < 1e-12
 
     def test_cutoff_must_be_an_integer(self):
         with pytest.raises(ValueError, match="cutoff must be a positive integer"):
@@ -59,12 +61,12 @@ class TestFockDensity:
         spec = Gaussian(
             params=GaussianStateParams(mean=np.zeros(2), cov=rotated_squeezed_cov(0.8, 0.0))
         )
-        rho = fock_density(spec, cutoff)
-        assert abs(np.trace(rho.matrix).real - 1.0) < 1e-8
+        v = fock_density(spec, cutoff).amplitudes
+        assert abs(np.vdot(v, v).real - 1.0) < 1e-8
 
-    def test_density_validation(self):
+    def test_state_validation(self):
         with pytest.raises(ValueError):
-            FockDensity(cutoff=4, matrix=np.ones((3, 3)))
+            FockState(cutoff=4, amplitudes=np.ones(3) / np.sqrt(3))
 
 
 class TestOracleAgreement:
@@ -104,3 +106,19 @@ class TestOracleAgreement:
         assert np.all(np.isfinite(rec.samples))
         ref = resource_wigner(spec, g)
         assert np.max(np.abs(rec.samples - ref.samples)) < 1e-6
+
+
+def test_oracle_peak_memory():
+    # psi is summed once on a 1-D lattice, so only the field, its integral and
+    # one row block of the transform are held at full size or near it
+    g = ws.build_grid(-16, 16, 257, -16, 16, 257)
+    state = fock_density(PhotonMod(sign=1, s=1.0, theta=0.0), 240)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        field = wigner_from_fock(state, g)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7 * field.samples.nbytes

@@ -289,6 +289,35 @@ class TestWavefunctionRoute:
         assert w.normalized
         assert np.max(np.abs(w.samples - ws.gaussian_wigner(params, g).samples)) < 1e-12
 
+    def test_psi_is_called_once_on_one_lattice(self, grid_small):
+        shapes = []
+
+        def psi(q):
+            shapes.append(np.shape(q))
+            return np.exp(-(q * q) / 4.0)
+
+        wigner_from_wavefunction(psi, grid_small)
+        assert len(shapes) == 1 and len(shapes[0]) == 1
+
+    def test_y_range_past_the_lattice_is_zero_padded(self):
+        # on q +-5 the lattice spans +-15 and this state's support (|psi|^2
+        # above 1e-32 of its peak) is about 24 wide, so the edge rows' y-range
+        # reaches past the lattice, where psi is below 1e-25
+        g = ws.build_grid(-5, 5, 81, -8, 8, 129)
+        q0, p0 = 0.3, -0.4
+        lattices = []
+
+        def psi(q):
+            lattices.append(q)
+            return np.exp(-((q - q0) ** 2) / 4.0 + 0.5j * p0 * q)
+
+        w = wigner_from_wavefunction(psi, g)
+        x = lattices[0]
+        dens = np.abs(psi(x)) ** 2
+        assert np.ptp(x[dens > 1e-32 * dens.max()]) / 2 > 10.0
+        params = ws.GaussianStateParams(mean=np.array([q0, p0]), cov=np.eye(2))
+        assert np.max(np.abs(w.samples - ws.gaussian_wigner(params, g).samples)) < 1e-12
+
     def test_negligible_norm_rejected(self, grid_small):
         with pytest.raises(NonNormalizableError):
             wigner_from_wavefunction(
