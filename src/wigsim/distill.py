@@ -243,9 +243,9 @@ def _outcome(columns, p_in, t: float, p_v: float) -> tuple:
 def _outcome_field(q, blurred, p_out, g, density: float) -> WignerField:
     """The normalized output field B * G(p_j) / density on the outcome's lattice."""
     raw = blurred * g
-    raw /= density
+    raw /= density  # density integrates B G over this lattice
     raw.setflags(write=False)  # handed over, so the field keeps it uncopied
-    return WignerField(grid=PhaseSpaceGrid(axes=(q, p_out)), samples=raw, normalized=True)
+    return WignerField(grid=PhaseSpaceGrid(axes=(q, p_out)), samples=raw, integral=1.0)
 
 
 def distill_conditional(field: WignerField, t: float, p_v: float) -> tuple:

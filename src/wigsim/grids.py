@@ -242,13 +242,13 @@ class QuadratureDistribution:
 class WignerField:
     """Real Wigner-function samples on a grid for an N-mode state.
 
-    normalized means the trapezoid integral was within TOL_NORM of 1 when
-    the field was built. Samples are read-only; operations return new fields.
+    integral is the samples' trapezoid integral, measured or carried by the
+    builder; samples are read-only, so it holds. Operations return new fields.
     """
 
     grid: PhaseSpaceGrid
     samples: np.ndarray
-    normalized: bool
+    integral: float
 
     def __post_init__(self):
         arr = np.asarray(self.samples, dtype=float)
@@ -266,30 +266,31 @@ class WignerField:
     def mode_count(self) -> int:
         return self.grid.mode_count
 
+    @property
+    def normalized(self) -> bool:
+        """|integral - 1| <= TOL_NORM: the one rule, with no per-call tolerance."""
+        return abs(self.integral - 1.0) <= TOL_NORM
+
 
 def field_from_samples(grid: PhaseSpaceGrid, samples: np.ndarray) -> WignerField:
-    """Wrap samples, flagging them normalized iff |integral - 1| <= TOL_NORM.
-
-    This is the package's one normalization rule; there is no per-call
-    tolerance.
-    """
+    """Wrap samples with their trapezoid integral, measured here."""
     total = integrate_samples(np.asarray(samples, dtype=float), grid.axes)
-    return WignerField(grid=grid, samples=samples, normalized=abs(total - 1.0) <= TOL_NORM)
+    return WignerField(grid=grid, samples=samples, integral=total)
 
 
 def integrate_full(field: WignerField) -> float:
-    """Integral of the field over the whole grid domain."""
-    return integrate_samples(field.samples, field.grid.axes)
+    """Integral of the field over the whole grid domain: the one it carries."""
+    return field.integral
 
 
 def renormalize(field: WignerField) -> WignerField:
     """Explicitly rescale a field so its trapezoid integral is 1."""
-    total = integrate_full(field)
-    if abs(total) < 1e-12:
-        raise NonNormalizableError("field integral is negligible, cannot rescale")
+    total = field.integral
+    if not (abs(total) >= 1e-12 and np.isfinite(total)):
+        raise NonNormalizableError(f"field integral {total:.3e} cannot be rescaled")
     samples = field.samples / total
     samples.setflags(write=False)  # handed over, so the field keeps it uncopied
-    return WignerField(grid=field.grid, samples=samples, normalized=True)
+    return WignerField(grid=field.grid, samples=samples, integral=1.0)
 
 
 def marginal_over(field: WignerField, dropped_modes) -> WignerField:
@@ -320,7 +321,8 @@ def tensor_product(a: WignerField, b: WignerField) -> WignerField:
     joint = np.multiply.outer(a.samples, b.samples)
     joint.setflags(write=False)  # handed over, so the field keeps it uncopied
     grid = PhaseSpaceGrid(axes=a.grid.axes + b.grid.axes)
-    return field_from_samples(grid, joint)
+    # the trapezoid rule over a product grid factorizes
+    return WignerField(grid=grid, samples=joint, integral=a.integral * b.integral)
 
 
 def overlap_trace(a: WignerField, b: WignerField) -> float:
@@ -358,8 +360,7 @@ def wigner_from_wavefunction(
 
     The result is divided by the norm of psi, never by its own integral,
     so unnormalized wavefunctions are accepted and mass that falls off the
-    grid shows in the normalized flag, which is set from the on-grid
-    integral.
+    grid shows in the field's measured integral and its normalized flag.
     """
     grid.require_single_mode("wigner_from_wavefunction")
     q, p = grid.axes

@@ -19,10 +19,10 @@ passes, and an op mixing q with p, such as a rotation, is one block.
 Each pass first brings its block's axes to the front with one transposing
 copy (none when they already lead, as for a rotation), so every block
 point owns one contiguous row of the samples. Each chunk of output points
-then computes its own sources, corner rows and weights, and each corner
-gathers whole rows, so no per-point state outlives its chunk. A beam
-splitter on 41^4 peaks at 2.03 fields above its input, a rotation on
-1025^2 at 1.54 (tracemalloc).
+computes its own sources, corner rows and fractions; each cache-sized
+slice of its output then adds every corner's weighted gather of whole rows
+in turn. A beam splitter on 41^4 peaks at 2.03 fields above its input, a
+rotation on 1025^2 at 1.51 (tracemalloc).
 
 Homodyne measurement of one quadrature marginalizes the rest; conditioning
 slices the field at the measured value and integrates out the conjugate
@@ -47,7 +47,6 @@ from .grids import (
     PhaseSpaceGrid,
     QuadratureDistribution,
     WignerField,
-    integrate_full,
     integrate_samples,
     row_blocks,
 )
@@ -158,10 +157,10 @@ def _resample_block(
     block, so it is viewed as one row per block point, the other axes riding
     along in the row. The block's output coordinates x map to sources
     s_inv (x - d). Each row_blocks chunk of output points builds its own
-    sources, lower-corner rows and fractions; each corner then gathers whole
-    rows with take, a row block at a time, and adds them weighted into the
-    output. Sources within 1e-9 spacings of a node snap to it, so identity
-    maps reproduce node values exactly.
+    sources, lower-corner rows and fractions; each row block of its output
+    then adds every corner in turn, a weighted gather of whole rows with
+    take, while it is in cache. Sources within 1e-9 spacings of a node snap
+    to it, so identity maps reproduce node values exactly.
     """
     shape = samples.shape[: len(block_axes)]
     m = int(np.prod(shape))
@@ -183,14 +182,13 @@ def _resample_block(
             base = base * ax.size + i0
             frac.append(f - i0)
         part = rows_out[chunk]
-        for corner in product((0, 1), repeat=len(block_axes)):
-            w = inside.astype(float)
-            for j, bit in enumerate(corner):
-                w *= frac[j] if bit else 1.0 - frac[j]
-            rows = base + np.ravel_multi_index(corner, shape)
-            for sl in row_blocks(part.shape):
-                gathered = rows_in.take(rows[sl], axis=0)
-                gathered *= w[sl, None]
+        for sl in row_blocks(part.shape):
+            for corner in product((0, 1), repeat=len(block_axes)):
+                w = inside[sl].astype(float)
+                for j, bit in enumerate(corner):
+                    w *= frac[j][sl] if bit else 1.0 - frac[j][sl]
+                gathered = rows_in.take(base[sl] + np.ravel_multi_index(corner, shape), axis=0)
+                gathered *= w[:, None]
                 part[sl] += gathered
     return out
 
@@ -199,8 +197,8 @@ def apply_symplectic(field: WignerField, op: SymplecticOp) -> WignerField:
     """Resample a field under a Gaussian unitary: W_out(x) = W(S^-1 (x - d)).
 
     The field is resampled one block of S at a time. Unit Jacobian means the
-    integral is preserved; a normalization drop beyond 10 * TOL_NORM signals
-    support pushed off the grid and raises.
+    integral is preserved: the output carries the one it measures, and a
+    drop from the input's by over 10 * TOL_NORM (support off the grid) raises.
     """
     if op.mode_count != field.mode_count:
         raise GridMismatchError("operator and field mode counts differ")
@@ -218,15 +216,14 @@ def apply_symplectic(field: WignerField, op: SymplecticOp) -> WignerField:
             vals = np.moveaxis(vals, lead, block)
     vals = np.ascontiguousarray(vals)
 
-    before = integrate_full(field)
+    before = field.integral
     after = integrate_samples(vals, grid.axes)
     if abs(after - before) > 10.0 * TOL_NORM:
         raise OutOfDomainError(
             f"transformed support leaves the grid: integral {before:.6f} -> {after:.6f}"
         )
-    normalized = abs(after - 1.0) <= TOL_NORM
     vals.setflags(write=False)  # handed over, so the field keeps it uncopied
-    return WignerField(grid=grid, samples=vals, normalized=normalized)
+    return WignerField(grid=grid, samples=vals, integral=after)
 
 
 def homodyne_pdf(field: WignerField, mode: int, quadrature: str) -> QuadratureDistribution:
@@ -283,5 +280,5 @@ def condition_on_homodyne(
             f"outcome density {density:.3e} below {EPS_COND:.0e}"
         )
     # density is the integral of reduced, so the quotient integrates to 1
-    out = WignerField(grid=out_grid, samples=reduced / density, normalized=True)
+    out = WignerField(grid=out_grid, samples=reduced / density, integral=1.0)
     return out, float(density)

@@ -158,7 +158,7 @@ class TestConditional:
         q, p = g.axes
         samples = (np.exp(-((q[:, None] - 15.0) ** 2) - p[None, :] ** 2)
                    + np.exp(-((q[:, None] + 14.5) ** 2) / 0.5 - p[None, :] ** 2))
-        field = ws.renormalize(ws.WignerField(grid=g, samples=samples, normalized=False))
+        field = ws.renormalize(ws.field_from_samples(g, samples))
         rt, rr = np.sqrt(t), np.sqrt(1.0 - t)
         dq = q[1] - q[0]
         trap = np.full(q.size, dq)
@@ -197,7 +197,8 @@ class TestConditional:
         g = ws.build_grid(-6, 6, 97, -5, 5, 81)
         q, p = g.axes
         samples = 2.0**450 * np.exp(-q[:, None] ** 2 - p[None, :] ** 2)
-        field = ws.WignerField(grid=g, samples=samples, normalized=True)
+        # a deliberately lifted field: it claims integral 1 so the blur accepts it
+        field = ws.WignerField(grid=g, samples=samples, integral=1.0)
         t = 0.9
         diff = q[:, None] - np.sqrt(t) * q[None, :]
         kernel = np.exp(-diff * diff / (2.0 * (1.0 - t))) * ws.trapezoid_weights(q)

@@ -11,7 +11,6 @@ from wigsim import InvalidGridError, NonNormalizableError, UnnormalizedFieldErro
 from wigsim.grids import (
     PhaseSpaceGrid,
     QuadratureDistribution,
-    WignerField,
     csv_header,
     field_from_samples,
     integrate_full,
@@ -160,6 +159,37 @@ class TestWignerField:
         null = field_from_samples(grid_small, np.zeros(grid_small.shape))
         with pytest.raises(NonNormalizableError):
             renormalize(null)
+
+    def test_renormalize_rejects_overflowed_integral(self):
+        # every sample is finite, but their trapezoid integral overflows
+        g = ws.build_grid(-4, 4, 9, -4, 4, 9)
+        with np.errstate(over="ignore"):
+            huge = field_from_samples(g, np.full(g.shape, 1e307))
+        assert huge.integral == np.inf
+        with pytest.raises(NonNormalizableError):
+            renormalize(huge)
+
+    def test_carried_integral_matches_a_fresh_contraction(self):
+        # builders that already hold the integral carry it: exactly where it
+        # is the same contraction, to rounding where it is a product or 1
+        one = ws.build_grid(-8, 8, 129, -8, 8, 129)
+        two = ws.build_grid(-6, 6, 25, -6, 6, 25)
+        photon = ws.number_state_wigner(1, two)
+        joint = tensor_product(photon, ws.vacuum_wigner(two))
+        mixed = ws.apply_symplectic(joint, ws.sym_beamsplitter(0.7))
+        exact = [field_from_samples(two, photon.samples / 2.0), mixed]
+        close = [
+            joint,
+            renormalize(mixed),
+            ws.condition_on_homodyne(renormalize(mixed), 1, "p", 0.3)[0],
+            ws.distill_conditional(ws.number_state_wigner(1, one), 0.9, 0.2)[0],
+        ]
+        for fields, tol in ((exact, 0.0), (close, 1e-12)):
+            for field in fields:
+                fresh = integrate_samples(field.samples, field.grid.axes)
+                assert abs(field.integral - fresh) <= tol
+                assert field.normalized == (abs(field.integral - 1.0) <= ws.TOL_NORM)
+        assert not exact[0].normalized
 
     def test_samples_read_only(self, grid_small):
         w = ws.vacuum_wigner(grid_small)
@@ -364,7 +394,7 @@ class TestCsvRoundTrip:
         samples = np.random.default_rng(5).normal(size=g.shape)
         if modes == 1:
             samples[0, :5] = [0.0, -0.0, 1e-300, -1e300, 1e300]
-        field = WignerField(grid=g, samples=samples, normalized=False)
+        field = field_from_samples(g, samples)
         mesh = np.meshgrid(*g.axes, indexing="ij")
         coords = np.column_stack([m.ravel() for m in mesh])
         ref = tmp_path / "ref.csv"
@@ -379,7 +409,7 @@ class TestCsvRoundTrip:
     def test_rejects_rows_that_do_not_enumerate_the_grid(self, tmp_path, modes, edit):
         g = ws.build_grid(-3, 3, 5, -2, 2, 7, modes=modes)
         path = tmp_path / "field.csv"
-        write_field_csv(WignerField(grid=g, samples=np.zeros(g.shape), normalized=False), path)
+        write_field_csv(field_from_samples(g, np.zeros(g.shape)), path)
         header, *rows = path.read_text().splitlines()
         if edit == "swap-rows":
             rows[3], rows[9] = rows[9], rows[3]

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import wigsim as ws
-from wigsim import OutOfDomainError, grids, symplectic, UnnormalizedFieldError
+from wigsim import OutOfDomainError, grids, monotones, symplectic, UnnormalizedFieldError
 from wigsim.grids import field_from_samples, integrate_full, tensor_product
 from wigsim.states import (
     number_state_wigner,
@@ -61,6 +61,39 @@ def multilinear_reference(field, op):
             w *= frac[j] if bit else 1.0 - frac[j]
         out += w * field.samples[tuple(i + bit for i, bit in zip(idx, corner))]
     return out.reshape(field.grid.shape)
+
+
+def resample_block_corner_outer(samples, block_axes, s_inv, d):
+    """The resampler with the corner loop outside, adding out of place.
+
+    Kept as the reference for bit-identity: each output value is the same
+    corner products summed in corner order, whichever loop runs outside.
+    """
+    shape = samples.shape[: len(block_axes)]
+    m = int(np.prod(shape))
+    rows_in = samples.reshape(m, -1)
+    rows_out = np.zeros(rows_in.shape)
+    for chunk in grids.row_blocks((m,)):
+        ij = np.unravel_index(np.arange(chunk.start, min(chunk.stop, m)), shape)
+        src = (np.stack([ax[i] for ax, i in zip(block_axes, ij)], axis=1) - d) @ s_inv.T
+        base, frac = 0, []
+        inside = np.ones(src.shape[0], dtype=bool)
+        for j, ax in enumerate(block_axes):
+            step = (ax[-1] - ax[0]) / (ax.size - 1)
+            f = (src[:, j] - ax[0]) / step
+            near = np.rint(f)
+            f = np.where(np.abs(f - near) < 1e-9, near, f)
+            inside &= (f >= 0.0) & (f <= ax.size - 1)
+            i0 = np.clip(np.floor(f).astype(np.int64), 0, ax.size - 2)
+            base = base * ax.size + i0
+            frac.append(f - i0)
+        for corner in product((0, 1), repeat=len(block_axes)):
+            w = inside.astype(float)
+            for j, bit in enumerate(corner):
+                w *= frac[j] if bit else 1.0 - frac[j]
+            rows = base + np.ravel_multi_index(corner, shape)
+            rows_out[chunk] = rows_out[chunk] + rows_in[rows] * w[:, None]
+    return rows_out.reshape(samples.shape)
 
 
 def mode0_rotation(theta):
@@ -227,10 +260,12 @@ class TestApplySymplectic:
         # pass over axes that do not lead first makes one transposing copy
         # with them in front, freed before the next pass allocates; each
         # chunk of output points builds its own sources, corner rows and
-        # weights and gathers whole rows; the output is handed to the field
-        # without a copy. Traced: 2.03 fields for the beam splitter, 1.54 for
-        # the rotation. The 4-D block runs on 33^4: on 25^4 the temporaries
-        # of one 2^15-point chunk of four axes alone come to about two fields.
+        # fractions, and each output slice builds one corner's weights and
+        # rows at a time, never a whole chunk's per corner; the output is
+        # handed to the field without a copy. Traced: 2.03 fields for the
+        # beam splitter, 1.51 for the rotation, 1.73 for the 4-D block. That
+        # block runs on 33^4: on 25^4 the temporaries of one 2^15-point
+        # chunk of four axes alone come to about two fields.
         two = ws.build_grid(-8, 8, 41, -8, 8, 41)
         small = ws.build_grid(-6, 6, 33, -6, 6, 33)
         field, op = {
@@ -254,6 +289,72 @@ class TestApplySymplectic:
             tracemalloc.stop()
         assert out.samples.shape == field.samples.shape
         assert peak <= 2.5 * field.samples.nbytes
+
+    @pytest.mark.parametrize("block_points", [grids._BLOCK_POINTS, 64])
+    @pytest.mark.parametrize(
+        "case", ["beamsplitter", "rotation", "four_axis", "two_mode_squeeze"]
+    )
+    def test_slice_major_corners_match_corner_outer_loop(
+        self, monkeypatch, case, block_points
+    ):
+        # adding every corner to one cached output slice before the next
+        # slice sums the same products in the same order: bit-identical
+        one = ws.build_grid(-6, 6, 101, -6, 6, 101)
+        two = ws.build_grid(-6, 6, 25, -6, 6, 25)
+        pair = tensor_product(number_state_wigner(1, two), vacuum_wigner(two))
+        bs_d = SymplecticOp(S=sym_beamsplitter(0.7).S, d=[2.0, -2.0, 1.5, 2.0])
+        field, op = {
+            "beamsplitter": (pair, bs_d),
+            "rotation": (
+                number_state_wigner(1, one),
+                compose(sym_displace(2.5, 0.5), sym_rotate(0.6)),
+            ),
+            "four_axis": (pair, compose(bs_d, mode0_rotation(0.5))),
+            "two_mode_squeeze": (
+                pair,
+                SymplecticOp(
+                    S=np.diag(np.exp([-0.3, 0.3, 0.2, -0.2])), d=[1.0, -1.0, 1.5, 1.0]
+                ),
+            ),
+        }[case]
+        monkeypatch.setattr(grids, "_BLOCK_POINTS", block_points)
+        out = apply_symplectic(field, op)
+        monkeypatch.setattr(symplectic, "_resample_block", resample_block_corner_outer)
+        assert np.array_equal(out.samples, apply_symplectic(field, op).samples)
+
+    def test_two_mode_sequence_contracts_the_joint_field_three_times(self, monkeypatch):
+        # fields carry their integral, so of the contractions of a 4-axis
+        # field only the resampled output's, the partial trace and the
+        # negativity remain; integrate_full reads the carried value
+        two = ws.build_grid(-6, 6, 25, -6, 6, 25)
+        photon, vac = number_state_wigner(1, two), vacuum_wigner(two)
+        joint_calls = []
+
+        def spy(real):
+            def counted(samples, axes, **kwargs):
+                operands = samples if isinstance(samples, tuple) else (samples,)
+                if any(a.ndim == 4 for a in operands):
+                    joint_calls.append(axes)
+                return real(samples, axes, **kwargs)
+            return counted
+
+        for module in (grids, symplectic, monotones):
+            monkeypatch.setattr(module, "integrate_samples", spy(module.integrate_samples))
+
+        def integrate_full_contracts_nothing(field):
+            count = len(joint_calls)
+            integrate_full(field)
+            assert len(joint_calls) == count
+
+        joint = tensor_product(photon, vac)
+        integrate_full_contracts_nothing(joint)
+        mixed = apply_symplectic(joint, sym_beamsplitter(0.9))
+        integrate_full_contracts_nothing(mixed)
+        mixed = ws.renormalize(mixed)
+        condition_on_homodyne(mixed, 1, "p", 0.0)
+        grids.marginal_over(mixed, (1,))
+        monotones.log_negativity(mixed)
+        assert len(joint_calls) == 3
 
     def test_row_blocks_leave_the_result_unchanged(self, monkeypatch):
         # 64-point row blocks split the beam splitter's 625 block points into
