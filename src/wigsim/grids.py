@@ -13,7 +13,7 @@ The contraction order is fixed so repeated runs produce bit-identical results.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -35,7 +35,7 @@ DEFAULT_POINTS = 1025
 # points per block of leading-axis rows: few enough that every temporary of a
 # row-block loop stays in the L2 cache, enough to amortize numpy's call cost.
 # Every such loop (fills, integrals, chirp-z batches, resampler gathers, CSV
-# checks) takes its blocks from row_blocks.
+# text and checks) takes its blocks from row_blocks.
 _BLOCK_POINTS = 32768
 
 
@@ -416,21 +416,116 @@ def csv_header(mode_count: int) -> str:
     return ",".join(cols + ["w"])
 
 
+# frexp's binary exponent of the smallest subnormal is -1073 and of the
+# largest double 1024: the scale table covers that range
+_LEAST_EXPONENT = -1073
+# %.12e prints decimal exponents from -324 (2^-1074) to 308
+_LEAST_DECADE = -324
+
+
+@functools.cache
+def _sci_tables() -> tuple:
+    """Tables of the %.12e digit writer, built on its first call.
+
+    For each frexp exponent E (|x| = m 2^E, 1/2 <= m < 1) with k(E) =
+    floor((E - 1) log10 2), the least decimal exponent of an |x| in
+    [2^(E-1), 2^E): the correctly rounded scale 2^E 10^(12 - k) (Python's
+    int true division rounds correctly) and k - _LEAST_DECADE. Then the
+    ASCII words: "dddd" for 0..9999, the sign, lead digit and point for
+    lead + 10 sign, and the two words of "e%+03d\\n" for each decimal
+    exponent from _LEAST_DECADE, all NUL-padded.
+    """
+    scale, decades = [], []
+    for e in range(_LEAST_EXPONENT, 1025):
+        k = math.floor((e - 1) * math.log10(2))
+        num = 2 ** max(e, 0) * 10 ** max(12 - k, 0)
+        scale.append(num / (2 ** max(-e, 0) * 10 ** max(k - 12, 0)))
+        decades.append(k - _LEAST_DECADE)
+    quads = b"".join(b"%04d" % i for i in range(10000))
+    heads = b"".join((sign + b"%d." % d).ljust(4, b"\0") for sign in (b"", b"-") for d in range(10))
+    tails = b"".join((b"e%+03d\n" % e).ljust(8, b"\0") for e in range(_LEAST_DECADE, 309))
+    tables = (
+        np.array(scale),
+        np.array(decades),
+        np.frombuffer(quads, np.uint32),
+        np.frombuffer(heads, np.uint32),
+        *np.frombuffer(tails, np.uint32).reshape(-1, 2).T.copy(),
+    )
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def _sci_words(x: np.ndarray, out: np.ndarray) -> None:
+    """Write "%.12e\\n" % v for each finite v in x into out's row of six uint32 words.
+
+    The words are NUL-padded text, byte-identical to Python's once the NULs
+    are dropped. The 13 digits are rint(y), y = |x| 10^(12 - e) for the
+    decimal exponent e: m times the scale of _sci_tables is within 2.3e-3
+    of exact below 1e13 - 1/2, and above it (|x| rounds into the next
+    decade) its tenth is within 6e-4. So rint is exact unless y lies
+    within 0.005 of a half-integer, or the product within 0.005 of the
+    decade boundary; those values (about 1 % of samples) go to Python.
+    """
+    scale, decades, quads, heads, tail0, tail1 = _sci_tables()
+    m, e2 = np.frexp(np.abs(x))
+    e2 = e2.astype(np.intp) - _LEAST_EXPONENT
+    y = m * scale[e2]
+    edge = np.abs(y - (1e13 - 0.5)) < 0.005
+    up = y >= 1e13 - 0.5
+    np.divide(y, 10.0, out=y, where=up)
+    digits = np.rint(y)
+    slow = np.flatnonzero(edge | (np.abs(y - digits) > 0.495))
+    decade = decades[e2] + up + (x == 0)  # frexp puts 0 in the decade of 0.5
+    # digits = lead 10^12 + w1 10^8 + w2 10^4 + w3, each w four digits
+    w3 = digits.astype(np.int64)
+    w2 = w3 // 10**4
+    w1 = w2 // 10**4
+    lead = w1 // 10**4
+    out[:, 0] = heads[lead + 10 * np.signbit(x)]
+    out[:, 1] = quads[w1 - lead * 10**4]
+    out[:, 2] = quads[w2 - w1 * 10**4]
+    out[:, 3] = quads[w3 - w2 * 10**4]
+    out[:, 4] = tail0[decade]
+    out[:, 5] = tail1[decade]
+    if slow.size:
+        text = ["%.12e\n" % v for v in x[slow].tolist()]
+        out[slow] = np.array(text, dtype="S24").view(np.uint32).reshape(-1, 6)
+
+
+def _text_words(texts: list) -> np.ndarray:
+    """ASCII texts as rows of uint32 words, NUL-padded to the longest."""
+    width = -(-max(map(len, texts)) // 4) * 4
+    return np.array(texts, dtype=f"S{width}").view(np.uint32).reshape(len(texts), -1)
+
+
 def write_field_csv(field: WignerField, path) -> None:
     """Row-major CSV dump: one row per grid node, all values %.12e.
 
-    Byte-identical to np.savetxt of the coordinate columns and samples, but
-    each coordinate is formatted once: a row along the last axis is its
-    leading coordinates' prefix on a template of the last-axis values.
+    Byte-identical to np.savetxt of the coordinate columns and samples.
+    Each coordinate is formatted once; the samples go through _sci_words.
+    A row block's nodes become fixed-width records of uint32 words, each
+    column's text NUL-padded, and the block is written with its NULs
+    dropped. The blocks are sized as if every 8 bytes of records were one
+    point, so a block's text is no bigger than a block of samples would be.
     """
-    *lead, last = [["%.12e" % v for v in ax.tolist()] for ax in field.grid.axes]
-    tails = [v + ",%.12e\n" for v in last]
-    rows = field.samples.reshape(-1, len(last))
-    with open(path, "w") as fh:
-        fh.write(csv_header(field.mode_count) + "\n")
-        for coords, row in zip(itertools.product(*lead), rows):
-            prefix = ",".join(coords) + ","
-            fh.write((prefix + prefix.join(tails)) % tuple(row.tolist()))
+    shape = field.grid.shape
+    cols = [_text_words(["%.12e," % v for v in ax.tolist()]) for ax in field.grid.axes]
+    edges = np.cumsum([0] + [c.shape[1] for c in cols] + [6])  # a record's word columns
+    rows = field.samples.reshape(-1, shape[-1])
+    blocks = row_blocks((rows.shape[0], shape[-1] * edges[-1] // 2))  # two words a point
+    records = np.empty((min(blocks[0].stop, rows.shape[0]), shape[-1], edges[-1]), np.uint32)
+    records[..., edges[-3] : edges[-2]] = cols[-1]  # the same in every row
+    with open(path, "wb") as fh:
+        fh.write(f"{csv_header(field.mode_count)}\n".encode())
+        for block in blocks:
+            lead = np.unravel_index(np.arange(rows.shape[0])[block], shape[:-1])
+            part = records[: lead[0].size]
+            for j, index in enumerate(lead):
+                part[..., edges[j] : edges[j + 1]] = cols[j][index, None]
+            _sci_words(rows[block].ravel(), part.reshape(-1, edges[-1])[:, edges[-2] :])
+            text = part.reshape(-1).view(np.uint8)
+            fh.write(text[text != 0])
 
 
 def read_field_csv(path) -> WignerField:

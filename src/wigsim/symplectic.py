@@ -156,8 +156,11 @@ def _resample_block(
     samples is C-contiguous and its leading len(block_axes) axes are the
     block, so it is viewed as one row per block point, the other axes riding
     along in the row. The block's output coordinates x map to sources
-    s_inv (x - d). Each row_blocks chunk of output points builds its own
-    sources, lower-corner rows and fractions; each row block of its output
+    s_inv (x - d), summed elementwise in coordinate order rather than by a
+    matrix product, whose rounding can depend on the chunk's length (BLAS
+    takes a one-point chunk through gemv), so a point's source does not
+    depend on its chunk. Each row_blocks chunk of output points builds its
+    own sources, lower-corner rows and fractions; each row block of its output
     then adds every corner in turn, a weighted gather of whole rows with
     take, while it is in cache. Sources within 1e-9 spacings of a node snap
     to it, so identity maps reproduce node values exactly.
@@ -169,12 +172,15 @@ def _resample_block(
     rows_out = out.reshape(rows_in.shape)
     for chunk in row_blocks((m,)):
         ij = np.unravel_index(np.arange(chunk.start, min(chunk.stop, m)), shape)
-        src = (np.stack([ax[i] for ax, i in zip(block_axes, ij)], axis=1) - d) @ s_inv.T
+        x = [ax[i] - dk for ax, i, dk in zip(block_axes, ij, d)]
         base, frac = 0, []
-        inside = np.ones(src.shape[0], dtype=bool)
+        inside = np.ones(x[0].size, dtype=bool)
         for j, ax in enumerate(block_axes):
+            src = x[0] * s_inv[j, 0]
+            for k in range(1, len(x)):
+                src += x[k] * s_inv[j, k]
             step = (ax[-1] - ax[0]) / (ax.size - 1)
-            f = (src[:, j] - ax[0]) / step
+            f = (src - ax[0]) / step
             near = np.rint(f)
             f = np.where(np.abs(f - near) < 1e-9, near, f)
             inside &= (f >= 0.0) & (f <= ax.size - 1)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import wigsim as ws
 from wigsim import InvalidGridError, NonNormalizableError, UnnormalizedFieldError
+from wigsim import grids
 from wigsim.grids import (
     PhaseSpaceGrid,
     QuadratureDistribution,
@@ -441,6 +442,41 @@ class TestCsvRoundTrip:
         assert back.grid.shape == g.shape
         assert peak <= 4.3 * field.samples.nbytes
 
+    @pytest.mark.parametrize("block_points", [grids._BLOCK_POINTS, 64])
+    def test_cubic_field_matches_savetxt_bytes(self, tmp_path, monkeypatch, block_points):
+        # the cubic field over the CLI's extents changes sign, is flushed to
+        # zero far out and falls below 1e-99 (three exponent digits); at 64
+        # points a row block is one row, at the default 31 rows with a short last
+        g = ws.build_grid(-16, 16, 65, -32, 32, 129)
+        field = ws.cubic_phase_wigner(0.05, 0.0, 1.0, g)
+        w = field.samples
+        assert (w < 0).any() and (w == 0).any() and ((w != 0) & (abs(w) < 1e-99)).any()
+        q, p = np.meshgrid(*g.axes, indexing="ij")
+        ref = tmp_path / "ref.csv"
+        np.savetxt(ref, np.column_stack([q.ravel(), p.ravel(), w.ravel()]), fmt="%.12e",
+                   delimiter=",", header=csv_header(1), comments="")
+        monkeypatch.setattr(grids, "_BLOCK_POINTS", block_points)
+        out = tmp_path / "out.csv"
+        write_field_csv(field, out)
+        assert out.read_bytes() == ref.read_bytes()
+
+    def test_write_peak_memory(self, tmp_path):
+        # one row block of fixed-width text records and its digit
+        # temporaries at a time: 0.32 field sizes on this grid
+        g = ws.build_grid(-10, 10, 385, -16, 16, 769)
+        field = ws.number_state_wigner(1, g)
+        path = tmp_path / "field.csv"
+        write_field_csv(field, path)  # builds the digit tables
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            write_field_csv(field, path)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.33 * field.samples.nbytes
+
     def test_write_is_deterministic(self, tmp_path):
         g = ws.build_grid(-6, 6, 41, -6, 6, 41)
         w = ws.number_state_wigner(2, g)
@@ -479,3 +515,61 @@ def test_single_mode_callers_raise_one_typed_error(caller):
     }[caller]
     with pytest.raises(ws.GridMismatchError, match="is single-mode"):
         call()
+
+
+def sci_text(values: np.ndarray) -> str:
+    out = np.zeros((values.size, 6), np.uint32)
+    grids._sci_words(values, out)
+    raw = out.view(np.uint8).ravel()
+    return raw[raw != 0].tobytes().decode()
+
+
+def python_text(values: np.ndarray) -> str:
+    return "".join("%.12e\n" % v for v in values.tolist())
+
+
+class TestSciWords:
+    """The vectorised %.12e writer against Python's formatting, byte for byte."""
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(11).integers(0, 2**64, 120_000, dtype=np.uint64)
+        values = bits.view(np.float64)
+        values = values[np.isfinite(values)]
+        assert values.size >= 100_000
+        assert sci_text(values) == python_text(values)
+
+    def test_extremes_and_powers_of_ten(self):
+        big = np.finfo(float).max
+        values = [0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, big, -big]
+        for k in range(-300, 301):
+            p = float(f"1e{k}")
+            values += [np.nextafter(p, 0.0), p, np.nextafter(p, np.inf)]
+        values = np.array(values)
+        assert sci_text(values) == python_text(values)
+        assert sci_text(-values) == python_text(-values)
+
+    def test_rounding_into_the_next_decade(self):
+        # 13 nines and a tail near one half round up or not, and a rounding
+        # past 9.999...e99 gains a third exponent digit; the doubles around
+        # 9.9999999999995eK straddle the decade boundary of the scaled digits
+        values = [
+            9.99999999999951e5, 9.99999999999949e5, 9.99999999999951e99,
+            9.99999999999951e-100, 9.9999999999999999e307, 0.99999999999999995,
+        ]
+        for k in range(-300, 301):
+            x = float(f"9.9999999999995e{k}")
+            values += [np.nextafter(x, 0.0), x, np.nextafter(x, np.inf)]
+        values = np.array(values)
+        assert sci_text(values) == python_text(values)
+        assert sci_text(-values) == python_text(-values)
+
+    def test_values_near_a_rounding_tie(self):
+        # exact ties (integers plus one half, rounded half to even) and the
+        # doubles nearest to decimal ties d.dddddddddddd5eK: their scaled
+        # digits lie within 3.3e-3 of a half-integer, so Python formats them
+        rng = np.random.default_rng(12)
+        digits = rng.integers(10**12, 10**13, 2000)
+        ties = digits + 0.5
+        near = [float(f"{d}5e{k}") for d, k in zip(digits.tolist(), rng.integers(-320, 290, 2000).tolist())]
+        values = np.concatenate([ties, near, np.array([0.5, 2.5, 1234567890123.5])])
+        assert sci_text(values) == python_text(values)

@@ -112,11 +112,14 @@ def test_only_row_blocks_reads_the_block_size():
 
 def test_import_wigsim_leaves_out_the_cli_and_the_self_checks():
     # the benchmark's setup time includes `import wigsim`; the CLI and the
-    # validate table load only when a command needs them
-    loaded = subprocess.run(
-        [sys.executable, "-c", "import sys, wigsim; print(*sys.modules)"],
+    # validate table load only when a command needs them, and the CSV
+    # writer's digit tables on its first call
+    *loaded, built = subprocess.run(
+        [sys.executable, "-c", "import sys, wigsim; print(*sys.modules, "
+         "wigsim.grids._sci_tables.cache_info().currsize)"],
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": str(SRC.parent)},
     ).stdout.split()
     assert "wigsim.states" in loaded
     assert "wigsim.cli" not in loaded and "wigsim.validation" not in loaded
+    assert built == "0"

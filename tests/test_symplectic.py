@@ -75,12 +75,15 @@ def resample_block_corner_outer(samples, block_axes, s_inv, d):
     rows_out = np.zeros(rows_in.shape)
     for chunk in grids.row_blocks((m,)):
         ij = np.unravel_index(np.arange(chunk.start, min(chunk.stop, m)), shape)
-        src = (np.stack([ax[i] for ax, i in zip(block_axes, ij)], axis=1) - d) @ s_inv.T
+        x = [ax[i] - dk for ax, i, dk in zip(block_axes, ij, d)]
         base, frac = 0, []
-        inside = np.ones(src.shape[0], dtype=bool)
+        inside = np.ones(x[0].size, dtype=bool)
         for j, ax in enumerate(block_axes):
+            src = x[0] * s_inv[j, 0]
+            for k in range(1, len(x)):
+                src += x[k] * s_inv[j, k]
             step = (ax[-1] - ax[0]) / (ax.size - 1)
-            f = (src[:, j] - ax[0]) / step
+            f = (src - ax[0]) / step
             near = np.rint(f)
             f = np.where(np.abs(f - near) < 1e-9, near, f)
             inside &= (f >= 0.0) & (f <= ax.size - 1)
@@ -356,14 +359,16 @@ class TestApplySymplectic:
         monotones.log_negativity(mixed)
         assert len(joint_calls) == 3
 
-    def test_row_blocks_leave_the_result_unchanged(self, monkeypatch):
-        # 64-point row blocks split the beam splitter's 625 block points into
-        # several chunks, and each corner then gathers one row at a time
+    @pytest.mark.parametrize("block_points", [64, 52])
+    def test_row_blocks_leave_the_result_unchanged(self, monkeypatch, block_points):
+        # small row blocks split the beam splitter's 625 block points into
+        # several chunks, and each corner then gathers one row at a time;
+        # 625 = 12 * 52 + 1 leaves one point alone in the last chunk
         two = ws.build_grid(-6, 6, 25, -6, 6, 25)
         field = tensor_product(number_state_wigner(1, two), vacuum_wigner(two))
         op = SymplecticOp(S=sym_beamsplitter(0.7).S, d=[2.0, -2.0, 1.5, 2.0])
         whole = apply_symplectic(field, op)
-        monkeypatch.setattr(grids, "_BLOCK_POINTS", 64)
+        monkeypatch.setattr(grids, "_BLOCK_POINTS", block_points)
         assert np.array_equal(apply_symplectic(field, op).samples, whole.samples)
 
     def test_rotation_output_is_not_copied(self, monkeypatch):
