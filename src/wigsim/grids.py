@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+import re
 from dataclasses import dataclass
 from typing import Callable
 
@@ -528,26 +530,235 @@ def write_field_csv(field: WignerField, path) -> None:
             fh.write(text[text != 0])
 
 
+_NOT_A_GRID = "CSV rows are not a row-major grid enumeration"
+# the reader's tables are indexed by a printed exponent's digits, plus 1000 if it is positive
+_DECADES = 1000
+
+
+@functools.cache
+def _sci_read_tables() -> tuple:
+    """Tables of the %.12e reader by exponent E, k = E - 12, built on its first call.
+
+    far (|k| > 22); up = 10^k and down = 10^-k where exact (else 1); the
+    double-double hi + lo of 10^k 2^s, each correctly rounded by Python int
+    true division, hi's 26-bit halves head + tail, and scale = 2^-s, with
+    s = 512 below k = -200 so every part is normal; hi = 0 outside
+    E in [-324, 308].
+    """
+    rows = []
+    for i in range(2 * _DECADES):
+        e = i - _DECADES if i >= _DECADES else -i
+        k, s = e - 12, 512 if e < -188 else 0
+        hi = lo = head = 0.0
+        if -324 <= e <= 308:
+            num, den = 10 ** max(k, 0) << s, 10 ** max(-k, 0)
+            hi = num / den
+            a, b = hi.as_integer_ratio()
+            lo = (num * b - a * den) / (den * b)
+            c = hi * 134217729.0  # 2^27 + 1: Veltkamp's split
+            head = c - (c - hi)
+        up = float(10**k) if 0 <= k <= 22 else 1.0
+        down = float(10**-k) if -22 <= k < 0 else 1.0
+        rows.append((abs(k) > 22, up, down, hi, head, hi - head, lo, 2.0**-s))
+    far, *tables = np.array(rows).T.copy()
+    tables = [far.astype(bool), *tables]
+    for table in tables:
+        table.setflags(write=False)
+    return tuple(tables)
+
+
+def _bad_line(text: bytes, line: int, columns: int) -> ValueError:
+    """The error for the first line of text (numbered from line) not of columns %.12e values."""
+    for number, row in enumerate(text.split(b"\n")[:-1], line):
+        cells = row.split(b",")
+        if len(cells) != columns:
+            return ValueError(f"line {number}: {len(cells)} values, expected {columns}")
+        for cell in cells:
+            if not re.fullmatch(rb"-?[0-9]\.[0-9]{12}e[+-][0-9]{2,3}", cell):
+                return ValueError(f"line {number}: {cell!r} is not a %.12e value")
+    return ValueError(f"line {line}: not rows of {columns} %.12e values")
+
+
+def _sci_values(text: np.ndarray, begin: int, end: int, columns: int, out: np.ndarray, line: int) -> int:
+    """Parse text[begin:end], rows of columns %.12e values, into out; return their count.
+
+    Each value is found by its decimal point and read as three 8-byte words
+    from 2 bytes before it: [-]d.ddddd | ddddddde | ±dd[d] and a separator.
+    """
+    at = np.flatnonzero(text[begin:end] == ord("."))
+    at += begin - 2
+    n = at.size
+    if not n or n % columns:
+        raise _bad_line(text[begin:end].tobytes(), line, columns)
+    records = np.ndarray((text.size - 23,), "V24", buffer=text, strides=(1,))
+    words = records[at].view(np.uint64).reshape(n, 3).T.copy()
+    w0, w1, w2 = words
+    neg = (w0 & 0xFF) == ord("-")
+    three = w2 >> 28 & 1  # bit 4: a third exponent digit, not a separator (checked below)
+    # the words tile the text: each value starts right after the separator before it
+    gap = at[1:] - at[:-1] - 19 - three[:-1].view(np.int64) - neg[1:]
+    if gap.any() or at[0] + 1 - neg[0] != begin or at[-1] + 19 + three[-1] != end - 1:
+        raise _bad_line(text[begin:end].tobytes(), line, columns)
+    del gap
+    shift = three << 3
+    flaws = w2 >> shift + 24 & 0xFF  # the separator: ',' or, ending a row, '\n'
+    flaws[columns - 1 :: columns] ^= ord(",") ^ ord("\n")
+    flaws ^= ord(",")
+    flaws |= (w2 & 0xFF) - ord("+") & 2**64 - 3  # 0 for '+' and '-'
+    flaws |= w1 >> 56 ^ ord("e")
+    if flaws.any():
+        raise _bad_line(text[begin:end].tobytes(), line, columns)
+    del flaws
+    # the digits alone, '0'-padded, and a 1 for a positive exponent:
+    # 00dddddd | 0ddddddd | 0000(0|1)ddd or 0000(0|1)0dd
+    plus = w2 << 31 & 1 << 32
+    w0[...] = w0 & 0xFFFFFFFFFF000000 | w0 << 8 & 0xFF0000 | 0x3030
+    w1[...] = w1 << 8 | ord("0")
+    w2[...] = w2 >> 8 << 48 - shift | 0x303030303030 >> shift | plus
+    del plus, shift
+    words ^= 0x3030303030303030
+    bad = words + 0x0606060606060606  # a byte above 9 sets its high nibble
+    bad |= words
+    bad &= 0xF0F0F0F0F0F0F0F0
+    if bad.any():
+        raise _bad_line(text[begin:end].tobytes(), line, columns)
+    del bad
+    # each word's 8 digits: pairs, then quads, then the whole (SWAR)
+    for mul, bits, mask in ((2561, 8, 0x00FF00FF00FF00FF), (6553601, 16, 0x0000FFFF0000FFFF)):
+        words *= mul
+        words >>= bits
+        words &= mask
+    words *= 42949672960001
+    words >>= 32
+    index = w2.astype(np.intp)
+    w0 *= 10**7
+    w0 += w1
+    digits = w0.astype(np.float64)
+    del words, w0, w1, w2
+    far, up, down, hi, head, tail, lo, scale = _sci_read_tables()
+    values = out[:n]
+    np.multiply(digits, up[index], out=values)
+    values /= down[index]
+    far = np.flatnonzero(far[index])
+    if far.size:
+        a, k = digits[far], index[far]
+        b_head, b_tail = head[k], tail[k]
+        with np.errstate(over="ignore", invalid="ignore"):
+            p = a * hi[k]
+            c = a * 134217729.0
+            a_head = c - (c - a)
+            a_tail = a - a_head
+            err = (((a_head * b_head - p) + a_head * b_tail) + a_tail * b_head) + a_tail * b_tail
+            err += a * lo[k]
+            wide = p * 2.0**-90
+            upper = (err + wide) + p
+            slow = upper != (err - wide) + p
+            upper *= scale[k]  # exact unless the value is not a normal double
+            slow |= upper <= 2.0**-1022
+            slow |= upper == np.inf
+        values[far] = upper
+        slow = far[slow]
+        if slow.size:
+            ends = at[slow] + 19 + three[slow].view(np.int64)
+            values[slow] = [float(text[i + 1 : j].tobytes()) for i, j in zip(at[slow].tolist(), ends.tolist())]
+    bits = values.view(np.uint64)
+    bits ^= neg.astype(np.uint64) << 63
+    return n
+
+
 def read_field_csv(path) -> WignerField:
-    """Rebuild a field from write_field_csv output."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    n_axes = data.shape[1] - 1
-    if n_axes < 2 or n_axes % 2 != 0:
-        raise ValueError("unexpected CSV column count")
-    axes, stride = [], 1
-    for j in reversed(range(n_axes)):  # axis j: its column's leading run at stride
-        column = data[::stride, j]
-        axes.insert(0, column[: np.argmax(np.append(column[1:] <= column[:-1], True)) + 1])
-        stride *= axes[0].size
-    shape = tuple(ax.size for ax in axes)
-    mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
-    # each coordinate column, viewed on the grid, against its broadcast axis
-    if data.shape[0] != stride or not all(
-        np.allclose(want, data[:, j].reshape(shape)[block], atol=0, rtol=1e-12)
-        for block in row_blocks(shape)
-        for j, want in enumerate(_rows(mesh, block))
-    ):
-        raise ValueError("CSV rows are not a row-major grid enumeration")
-    grid = PhaseSpaceGrid(axes=tuple(axes))
-    samples = data[:, -1].reshape(grid.shape)
+    """Rebuild a field from write_field_csv output.
+
+    Accepts exactly that format: the header csv_header(modes), then rows of
+    2 modes + 1 values [-]d.dddddddddddde±dd[d], comma-separated, each
+    ending in "\n" (the last may lack it), enumerating the grid row-major;
+    anything else raises ValueError naming its line (for a coordinate, the
+    first line that disagrees with the axes the first rows give).
+
+    Every value is bitwise Python's float of its text, as NumPy's text
+    reader gives it: the 13 digits M times 10^k. For |k| <= 22 that is one
+    correctly rounded multiply or divide of exact operands. Otherwise M
+    times the double-double 10^k 2^s (Dekker's exact product plus M lo) is
+    within 2^-104 of its size, so rounding it with 2^-90 of its size added
+    and subtracted gives one double unless it lies that close to a rounding
+    boundary; those values, and any that are not a normal double, go to
+    Python's float. So the coordinates equal the axes exactly.
+
+    The file is read in chunks of whole rows, so only the samples are held
+    whole.
+    """
+    with open(path, "rb") as fh:
+        header = fh.readline()
+        modes = max(header.count(b",") // 2, 1)
+        if header != f"{csv_header(modes)}\n".encode():
+            raise ValueError(f"line 1: expected the header {csv_header(modes)!r}, found {header!r}")
+        columns = 2 * modes + 1
+        size = os.fstat(fh.fileno()).st_size - len(header)
+        samples = np.empty((size + 1) // (19 * columns))  # 19 bytes: the shortest value and separator
+        chunk = 4 * row_blocks((1, 1))[0].stop  # 4 bytes a point: 128 KB, parse temporaries ~0.5 MB
+        buffer = bytearray(8 + chunk + 32)  # room for the words read around any point
+        text, view = np.frombuffer(buffer, np.uint8), memoryview(buffer)
+        values = np.empty(chunk // 19 + 1)
+        end, rows, pending, axes, lead = 8, 0, [], None, []
+
+        def check(coords, first):  # rows first.. against the axes, growing the first one
+            stride = math.prod(ax.size for ax in axes)
+            lead.append(coords[-first % stride :: stride, 0].copy())
+            index, ok = np.arange(first, first + len(coords)), True
+            for j in reversed(range(len(axes))):
+                index, i = np.divmod(index, axes[j].size)
+                ok &= coords[:, j + 1] == axes[j][i]
+            ok &= coords[:, 0] == np.concatenate(lead)[index]
+            if not ok.all():
+                raise ValueError(f"line {first + np.argmin(ok) + 2}: {_NOT_A_GRID}")
+
+        def settle():
+            # the first axis moved on (or the rows ended), so each later axis is
+            # its column's leading increasing run at the stride of the axes after it
+            nonlocal axes, pending
+            coords, axes, stride = np.concatenate(pending), [], 1
+            for j in reversed(range(1, columns - 1)):
+                column = coords[::stride, j]
+                axes.insert(0, column[: np.argmax(np.append(column[1:] <= column[:-1], True)) + 1])
+                stride *= axes[0].size
+            pending = None
+            check(coords, 0)
+
+        while True:
+            got = fh.readinto(view[end : 8 + chunk])
+            end += got
+            cut = buffer.rfind(b"\n", 8, end) + 1 or 8
+            if not got and cut < end:  # the last line lacks its newline
+                buffer[end] = ord("\n")
+                end = cut = end + 1
+            if cut == 8:
+                if got:
+                    continue
+                break
+            n = _sci_values(text, 8, cut, columns, values, rows + 2)
+            table = values[:n].reshape(-1, columns)
+            samples[rows : rows + len(table)] = table[:, -1]
+            if axes is not None:
+                check(table[:, :-1], rows)
+            else:
+                pending.append(table[:, :-1].copy())
+                if (table[:, 0] != pending[0][0, 0]).any():
+                    settle()
+            rows += len(table)
+            buffer[8 : 8 + end - cut] = buffer[cut:end]
+            end = 8 + end - cut
+        if not rows:
+            raise ValueError(f"line 2: no rows of {columns} values")
+        if axes is None:
+            settle()
+    lead = np.concatenate(lead)
+    stride = math.prod(ax.size for ax in axes)
+    rises = np.diff(lead) > 0
+    if not rises.all():
+        raise ValueError(f"line {(np.argmin(rises) + 1) * stride + 2}: {_NOT_A_GRID}")
+    if rows != lead.size * stride:
+        raise ValueError(f"line {rows + 2}: {_NOT_A_GRID}")
+    grid = PhaseSpaceGrid(axes=(lead, *axes))
+    samples.resize(grid.shape, refcheck=False)
+    samples.setflags(write=False)  # handed over, so the field keeps it uncopied
     return field_from_samples(grid, samples)

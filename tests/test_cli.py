@@ -232,6 +232,11 @@ class TestStateCommand:
         assert rc == 0
         assert "integral=" in out
         field = read_field_csv(path)
+        # bitwise np.loadtxt's table: coordinate columns, then samples
+        mesh = np.meshgrid(*field.grid.axes, indexing="ij")
+        table = np.column_stack([m.ravel() for m in mesh] + [field.samples.ravel()])
+        ref = np.loadtxt(path, delimiter=",", skiprows=1)
+        assert np.array_equal(table.view(np.uint64), ref.view(np.uint64))
         flat = int(np.argmin(field.samples))
         iq, ip = np.unravel_index(flat, field.samples.shape)
         assert abs(field.grid.axis(0, "q")[iq]) < 1e-12

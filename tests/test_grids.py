@@ -376,6 +376,33 @@ class TestQuadratureDistribution:
             QuadratureDistribution(values=ax, densities=np.ones(ax.size))
 
 
+def read_back(path, values: np.ndarray) -> np.ndarray:
+    """values written as the samples of a field CSV at path, read back in order."""
+    n_p = 1024
+    samples = np.zeros(max(3, -(-values.size // n_p)) * n_p)
+    samples[: values.size] = values
+    g = ws.build_grid(-1, 1, samples.size // n_p, -1, 1, n_p)
+    with np.errstate(over="ignore", invalid="ignore"):  # integrals of huge samples
+        write_field_csv(field_from_samples(g, samples.reshape(g.shape)), path)
+        return read_field_csv(path).samples.ravel()[: values.size]
+
+
+def python_floats(values: np.ndarray) -> np.ndarray:
+    """Python's float of each value's %.12e text."""
+    return np.array([float("%.12e" % v) for v in values.tolist()])
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def matches_loadtxt(field, path) -> bool:
+    """The field's coordinate columns and samples are np.loadtxt's table, bit for bit."""
+    mesh = np.meshgrid(*field.grid.axes, indexing="ij")
+    table = np.column_stack([m.ravel() for m in mesh] + [field.samples.ravel()])
+    return same_bits(table, np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2))
+
+
 class TestCsvRoundTrip:
     def test_roundtrip_preserves_field(self, tmp_path):
         g = ws.build_grid(-6, 6, 41, -6, 6, 41)
@@ -424,13 +451,135 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match="not a row-major grid enumeration"):
             read_field_csv(path)
 
+    def test_random_values_read_as_python_floats(self, tmp_path):
+        # random bit patterns span every exponent, mostly outside the one
+        # multiply-or-divide range |k| <= 22; the scaled normals lie inside it
+        rng = np.random.default_rng(21)
+        bits = rng.integers(0, 2**64, 700_000, dtype=np.uint64).view(np.float64)
+        scaled = rng.normal(size=400_000) * 10.0 ** rng.uniform(-12, 36, 400_000)
+        values = np.concatenate([bits[np.isfinite(bits)], scaled])
+        assert values.size >= 10**6
+        assert same_bits(read_back(tmp_path / "f.csv", values), python_floats(values))
+
+    def test_edge_values_read_as_python_floats(self, tmp_path):
+        tiny, big = 5e-324, np.finfo(float).max
+        values = [0.0, tiny, 2 * tiny, 3 * tiny, 2.0**-1022, big]
+        values += [np.nextafter(2.0**-1022, 0.0), np.nextafter(2.0**-1022, 1.0), np.nextafter(big, 0.0)]
+        for k in range(-323, 309):  # powers of ten, both sides
+            p = float(f"1e{k}")
+            values += [np.nextafter(p, 0.0), p, np.nextafter(p, np.inf)]
+        # k = E - 12 at the edges of the exact range: E = -11, -10, 34, 35
+        rng = np.random.default_rng(22)
+        for e in (-11, -10, 34, 35):
+            values += [float(f"{d}e{e - 12}") for d in rng.integers(10**12, 10**13, 500).tolist()]
+        # exact decimal ties 2^a 10^23, rounded half to even, and three-digit exponents
+        values += [float(f"{2**a}e23") for a in range(40, 44)]
+        values += (rng.uniform(1, 10, 500) * 10.0 ** rng.integers(100, 308, 500)).tolist()
+        values += (rng.uniform(1, 10, 500) * 10.0 ** -rng.integers(100, 308, 500)).tolist()
+        values = np.array(values)
+        values = np.concatenate([values, -values])
+        assert same_bits(read_back(tmp_path / "f.csv", values), python_floats(values))
+
+    @pytest.mark.parametrize("block_points", [grids._BLOCK_POINTS, 64])
+    def test_cubic_and_two_mode_files_read_as_loadtxt(self, tmp_path, monkeypatch, block_points):
+        # at 64 points a chunk is 256 bytes, about four 1-mode rows
+        monkeypatch.setattr(grids, "_BLOCK_POINTS", block_points)
+        g = ws.build_grid(-16, 16, 65, -32, 32, 129)
+        two = ws.build_grid(-3, 3, 5, -2, 2, 7, modes=2)
+        for field in (
+            ws.cubic_phase_wigner(0.05, 0.0, 1.0, g),
+            field_from_samples(two, np.random.default_rng(23).normal(size=two.shape)),
+        ):
+            path = tmp_path / "field.csv"
+            write_field_csv(field, path)
+            assert matches_loadtxt(read_field_csv(path), path)
+
+    @pytest.mark.parametrize("block_points", [grids._BLOCK_POINTS, 64])
+    @pytest.mark.parametrize(
+        "cell",
+        [
+            "1.5", "nan", "inf", "-inf", "1.23456789012e+00", "1.2345678901234e+00",
+            "1.234567890123e00", "1.234567890123E+00", "+1.234567890123e+00",
+            " 1.234567890123e+00", "1.234567890123e+0", "1.234567890123e+0001", "",
+            "x.234567890123e+00", "1.23456789012:e+00", "1.234567/90123e+00", "1.234567890123e+1a",
+        ],
+    )
+    def test_rejects_values_not_in_the_written_form(self, tmp_path, monkeypatch, block_points, cell):
+        monkeypatch.setattr(grids, "_BLOCK_POINTS", block_points)
+        path = tmp_path / "field.csv"
+        write_field_csv(field_from_samples(ws.build_grid(-3, 3, 5, -2, 2, 7), np.ones((5, 7))), path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[29] = lines[29].rsplit(",", 1)[0] + f",{cell}\n"
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match="^line 30: "):
+            read_field_csv(path)
+
+    @pytest.mark.parametrize("block_points", [grids._BLOCK_POINTS, 64])
+    @pytest.mark.parametrize("edit", ["extra-value", "missing-value", "blank-line", "semicolon", "joined"])
+    def test_rejects_rows_of_the_wrong_length(self, tmp_path, monkeypatch, block_points, edit):
+        monkeypatch.setattr(grids, "_BLOCK_POINTS", block_points)
+        path = tmp_path / "field.csv"
+        write_field_csv(field_from_samples(ws.build_grid(-3, 3, 5, -2, 2, 7), np.ones((5, 7))), path)
+        lines = path.read_text().splitlines(keepends=True)
+        row, after = lines[29], lines[30]
+        lines[29:31] = {
+            "extra-value": [row.replace(",", ",1.000000000000e+00,", 1), after],
+            "missing-value": [row.split(",", 1)[1], after],
+            "blank-line": ["\n" + row, after],
+            "semicolon": [row.replace(",", ";", 1), after],
+            # the next row's first value moved up: the value count is unchanged
+            "joined": [row[:-1] + "," + after.split(",", 1)[0] + "\n", after.split(",", 1)[1]],
+        }[edit]
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match="^line 30: "):
+            read_field_csv(path)
+
+    @pytest.mark.parametrize("header", ["q,p,W", "x,p,w", "q,p", "q,p,w,", "q1,p1,w", "q1,p1,q2,p2", ""])
+    def test_rejects_a_header_other_than_csv_header(self, tmp_path, header):
+        path = tmp_path / "field.csv"
+        write_field_csv(field_from_samples(ws.build_grid(-3, 3, 5, -2, 2, 7), np.ones((5, 7))), path)
+        path.write_text(header + path.read_text()[len("q,p,w") :])
+        with pytest.raises(ValueError, match="^line 1: expected the header 'q,p,w'"):
+            read_field_csv(path)
+
+    def test_rejects_crlf_line_endings(self, tmp_path):
+        path = tmp_path / "field.csv"
+        write_field_csv(field_from_samples(ws.build_grid(-3, 3, 5, -2, 2, 7), np.ones((5, 7))), path)
+        header, rest = path.read_bytes().split(b"\n", 1)
+        path.write_bytes(header + b"\n" + rest.replace(b"\n", b"\r\n"))
+        with pytest.raises(ValueError, match="^line 2: "):
+            read_field_csv(path)
+        path.write_bytes(header + b"\r\n" + rest)
+        with pytest.raises(ValueError, match="^line 1: "):
+            read_field_csv(path)
+
+    @pytest.mark.parametrize("block_points", [grids._BLOCK_POINTS, 64])
+    def test_accepts_a_missing_final_newline(self, tmp_path, monkeypatch, block_points):
+        # as np.loadtxt does: the last row may end the file without "\n"
+        monkeypatch.setattr(grids, "_BLOCK_POINTS", block_points)
+        g = ws.build_grid(-3, 3, 5, -2, 2, 7)
+        path = tmp_path / "field.csv"
+        write_field_csv(field_from_samples(g, np.random.default_rng(24).normal(size=g.shape)), path)
+        whole = read_field_csv(path)
+        path.write_bytes(path.read_bytes()[:-1])
+        cut = read_field_csv(path)
+        assert cut.grid == whole.grid and same_bits(cut.samples, whole.samples)
+        assert matches_loadtxt(cut, path)
+
+    def test_rejects_a_file_without_rows(self, tmp_path):
+        path = tmp_path / "field.csv"
+        path.write_text("q,p,w\n")
+        with pytest.raises(ValueError, match="^line 2: "):
+            read_field_csv(path)
+
     def test_read_peak_memory(self, tmp_path):
-        # the parsed table is three field sizes and the field one more; the
-        # axes come from strided runs of the table, not a sort of its columns
+        # the samples (sized from the file, 1.02 field sizes here) and one
+        # chunk of text, its values and its parse temporaries: 1.36 measured
         g = ws.build_grid(-10, 10, 385, -16, 16, 769)
         field = ws.number_state_wigner(1, g)
         path = tmp_path / "field.csv"
         write_field_csv(field, path)
+        read_field_csv(path)  # builds the parse tables
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -440,7 +589,7 @@ class TestCsvRoundTrip:
         finally:
             tracemalloc.stop()
         assert back.grid.shape == g.shape
-        assert peak <= 4.3 * field.samples.nbytes
+        assert peak <= 1.45 * field.samples.nbytes
 
     @pytest.mark.parametrize("block_points", [grids._BLOCK_POINTS, 64])
     def test_cubic_field_matches_savetxt_bytes(self, tmp_path, monkeypatch, block_points):

@@ -112,14 +112,17 @@ def test_only_row_blocks_reads_the_block_size():
 
 def test_import_wigsim_leaves_out_the_cli_and_the_self_checks():
     # the benchmark's setup time includes `import wigsim`; the CLI and the
-    # validate table load only when a command needs them, and the CSV
-    # writer's digit tables on its first call
-    *loaded, built = subprocess.run(
+    # validate table load only when a command needs them, the CSV writer's
+    # and reader's tables on their first call, and exact arithmetic needs
+    # no fractions or decimal
+    *loaded, written, read = subprocess.run(
         [sys.executable, "-c", "import sys, wigsim; print(*sys.modules, "
-         "wigsim.grids._sci_tables.cache_info().currsize)"],
+         "wigsim.grids._sci_tables.cache_info().currsize, "
+         "wigsim.grids._sci_read_tables.cache_info().currsize)"],
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": str(SRC.parent)},
     ).stdout.split()
     assert "wigsim.states" in loaded
     assert "wigsim.cli" not in loaded and "wigsim.validation" not in loaded
-    assert built == "0"
+    assert "fractions" not in loaded and "decimal" not in loaded
+    assert written == read == "0"
