@@ -36,7 +36,7 @@ from .grids import (
     wigner_from_wavefunction,
     write_field_csv,
 )
-from .special import airy_ai, airy_ai_scaled, laguerre
+from .special import airy_ai_scaled, laguerre
 from .states import (
     ON,
     CubicPhase,

@@ -112,9 +112,6 @@ class PhaseSpaceGrid:
         if self.mode_count != 1:
             raise GridMismatchError(f"{user} is single-mode")
 
-    def axis(self, mode: int, quadrature: str) -> np.ndarray:
-        return self.axes[self.axis_index(mode, quadrature)]
-
     def open_mesh(self) -> tuple:
         """Axes broadcast-shaped for elementwise field construction."""
         return tuple(np.meshgrid(*self.axes, indexing="ij", sparse=True))

@@ -4,7 +4,7 @@ airy_ai_scaled is the one Airy evaluator: the ascending power series on
 |x| <= 6 and Poincare-type asymptotic expansions outside. It returns
 exp((2/3) x^{3/2}) Ai(x) for x >= 0 so callers can fold the decay into
 their own exponents and never underflow mid-product; for x < 0 the scale
-factor is 1 by convention. airy_ai applies the decay back.
+factor is 1 by convention.
 
 Fixed term counts keep Ai itself within 1e-9 absolute on every branch, far
 below the quadrature noise of any field built on top. Measured on the Airy
@@ -115,13 +115,6 @@ def _asym_left(x: np.ndarray) -> np.ndarray:
     return pref * (np.cos(phase) * even + np.sin(phase) * (odd / zeta))
 
 
-def airy_ai(x) -> np.ndarray:
-    """Ai(x) for real array input, vectorized."""
-    arr = np.asarray(x, dtype=float)
-    pos = np.maximum(arr, 0.0)
-    return airy_ai_scaled(arr) * np.exp(-(2.0 / 3.0) * pos * np.sqrt(pos))
-
-
 def airy_ai_scaled(x) -> np.ndarray:
     """exp((2/3) x^(3/2)) Ai(x) for x >= 0; plain Ai(x) for x < 0."""
     arr = np.asarray(x, dtype=float)
@@ -145,15 +138,15 @@ def airy_ai_scaled(x) -> np.ndarray:
     return out[0] if scalar else out
 
 
-def laguerre(n: int, x, alpha: int = 0) -> np.ndarray:
-    """Generalized Laguerre polynomial L_n^(alpha)(x) by upward recurrence."""
+def laguerre(n: int, x) -> np.ndarray:
+    """Laguerre polynomial L_n(x) by upward recurrence."""
     if n < 0:
         raise ValueError("degree must be >= 0")
     arr = np.asarray(x, dtype=float)
     prev = np.ones_like(arr)
     if n == 0:
         return prev
-    cur = 1.0 + alpha - arr
+    cur = 1.0 - arr
     for k in range(2, n + 1):
-        prev, cur = cur, ((2 * k - 1 + alpha - arr) * cur - (k - 1 + alpha) * prev) / k
+        prev, cur = cur, ((2 * k - 1 - arr) * cur - (k - 1) * prev) / k
     return cur

@@ -22,7 +22,7 @@ from .grids import (
     wigner_from_wavefunction,
 )
 from .monotones import fidelity_initial_analytic, fidelity_to_pure, log_negativity
-from .special import airy_ai, laguerre
+from .special import airy_ai_scaled, laguerre
 from .states import (
     Gaussian,
     GaussianStateParams,
@@ -55,16 +55,16 @@ def _small_grid(extent=8.0):
 
 
 def _airy_values():
-    # Ai(0) = 3^(-2/3)/Gamma(2/3) and two tabulated points
-    got = airy_ai(np.array([0.0, 1.0, -2.0]))
-    return np.abs(got - [0.3550280538878172, 0.1352924163128814, 0.22740742820168557]).max()
+    # Ai(0) = 3^(-2/3)/Gamma(2/3), e^{2/3} Ai(1) and Ai(-2), from tables
+    got = airy_ai_scaled(np.array([0.0, 1.0, -2.0]))
+    return np.abs(got - [0.3550280538878172, 0.26351364474914013, 0.22740742820168557]).max()
 
 
 def _laguerre_values():
-    # L_3(2.5) = 13/48, L_2^(1)(1.5) = -3/8, and L_0 = 1 exactly
+    # L_3(2.5) = 13/48, L_2(1.5) = -7/8, and L_0 = 1 exactly
     return max(
         abs(laguerre(3, 2.5) - 13.0 / 48.0),
-        abs(laguerre(2, 1.5, alpha=1) + 0.375),
+        abs(laguerre(2, 1.5) + 0.875),
         0.0 if laguerre(0, 7.7) == 1.0 else math.inf,
     )
 

@@ -5,6 +5,9 @@ verbose run doubles as a results table. Stated runtime budgets are
 asserted alongside the numerical tolerances. Grid extents follow the
 convergence needs of each state family: the cubic family keeps slow
 tails in p, so those grids are much taller than they are wide.
+
+Criteria 03, 06, 07 and 11 run the grids and configs of wigsim.cli.STUDIES,
+the same runs `wigsim study` prints, so each study has one definition.
 """
 
 import math
@@ -15,6 +18,7 @@ import numpy as np
 import pytest
 
 import wigsim as ws
+from wigsim.cli import GAMMA, STUDIES
 from wigsim.distill import (
     DistillationConfig,
     default_protocol_grid,
@@ -57,11 +61,14 @@ from wigsim.symplectic import (
     sym_squeeze,
 )
 
-GAMMA = 0.05
-
 
 def report(label, detail):
     print(f"{label}: {detail}")
+
+
+def study_job(study, name):
+    """The job that study runs for its output file name."""
+    return dict(STUDIES[study]())[name]
 
 
 def test_criterion_01_one_photon_negativity():
@@ -113,7 +120,7 @@ CUBIC_READOFF = {0.2: (0.11, None), 0.6: (0.38, 0.02), 1.0: (0.81, 0.02)}
 @pytest.mark.parametrize("s", [0.2, 0.6, 1.0], ids=["s=0.2", "s=0.6", "s=1.0"])
 def test_criterion_03_cubic_negativity(s, cubic_reference):
     t0 = time.perf_counter()
-    grid = ws.build_grid(-16, 16, 1025, -40, 40, 2561)
+    grid, _ = study_job("curves", "cubic.csv")
     neg = log_negativity(resource_wigner(CubicPhase(GAMMA, 0.0, s), grid))
 
     # the library's two routes to the same field, on a reduced grid
@@ -195,33 +202,25 @@ def test_criterion_05_fidelity_anchors():
 
 def test_criterion_06_selective_average_bound():
     t0 = time.perf_counter()
-    grid = default_protocol_grid()
     details = []
-    for t in (0.9, 0.95, 0.99):
-        for s in (0.2, 0.6, 1.0):
-            out = distill_sweep(
-                DistillationConfig(
-                    input=CubicPhase(GAMMA, 0.0, s),
-                    t=t,
-                    input_grid=grid,
-                    target_P_suc=1.0,
-                )
-            )
-            bound = out.ini_neg * 1.01
-            assert out.post_neg <= bound, (
-                f"t={t} s={s}: full-range average {out.post_neg:.5f} "
-                f"exceeds {bound:.5f}"
-            )
-            # the l1 form of the bound, with no slack: the window's integral
-            # of density * e^{N_L} cannot exceed e^{N_L(in)}
-            l1_bound = math.exp(out.ini_neg)
-            assert out.avg_l1 <= l1_bound, (
-                f"t={t} s={s}: avg_l1 {out.avg_l1:.6f} exceeds {l1_bound:.6f}"
-            )
-            details.append(
-                f"t={t},s={s}:{out.post_neg:.4f}<={bound:.4f}"
-                f",l1={out.avg_l1:.5f}<={l1_bound:.5f}"
-            )
+    for _, config in STUDIES["bound"]():
+        t, s = config.t, config.input.s
+        out = distill_sweep(config)
+        bound = out.ini_neg * 1.01
+        assert out.post_neg <= bound, (
+            f"t={t} s={s}: full-range average {out.post_neg:.5f} "
+            f"exceeds {bound:.5f}"
+        )
+        # the l1 form of the bound, with no slack: the window's integral
+        # of density * e^{N_L} cannot exceed e^{N_L(in)}
+        l1_bound = math.exp(out.ini_neg)
+        assert out.avg_l1 <= l1_bound, (
+            f"t={t} s={s}: avg_l1 {out.avg_l1:.6f} exceeds {l1_bound:.6f}"
+        )
+        details.append(
+            f"t={t},s={s}:{out.post_neg:.4f}<={bound:.4f}"
+            f",l1={out.avg_l1:.5f}<={l1_bound:.5f}"
+        )
     elapsed = time.perf_counter() - t0
     report("criterion 06", " ".join(details) + f" {elapsed:.0f}s (budget 900s)")
     assert elapsed < 900.0
@@ -229,27 +228,14 @@ def test_criterion_06_selective_average_bound():
 
 def test_criterion_07_distillation_gain_leg():
     t0 = time.perf_counter()
-    grid = ws.build_grid(-20, 20, 1281, -64, 64, 2049)
-    p_v = np.r_[
-        np.arange(-6, -4, 0.25),
-        np.arange(-4, -1.5, 0.05),
-        np.arange(-1.5, 6.0001, 0.25),
-    ]
-    out = distill_sweep(
-        DistillationConfig(
-            input=CubicPhase(GAMMA, 0.0, 1.0),
-            t=0.99,
-            p_v_samples=p_v,
-            input_grid=grid,
-            target_P_suc=0.01,
-            s_targ=4.0,
-        )
-    )
-    ratio = out.post_fid / fidelity_initial_analytic(1.0, 4.0)
+    config = study_job("effect", "effect_s1.0.csv")
+    out = distill_sweep(config)
+    s_ini = config.input.s
+    ratio = out.post_fid / fidelity_initial_analytic(s_ini, config.s_targ)
     elapsed = time.perf_counter() - t0
     report(
         "criterion 07 gain",
-        f"s_ini=1.0 t=0.99 window=[{out.window[0]:.2f},{out.window[1]:.2f}] "
+        f"s_ini={s_ini} t={config.t} window=[{out.window[0]:.2f},{out.window[1]:.2f}] "
         f"P_suc={out.P_suc:.6f} rate_bound={out.rate_bound:.4f} avg_l1={out.avg_l1:.6f} "
         f"post_neg={out.post_neg:.4f} "
         f"ini_neg={out.ini_neg:.4f} fid_ratio={ratio:.4f} {elapsed:.0f}s",
@@ -262,27 +248,14 @@ def test_criterion_07_distillation_gain_leg():
 
 def test_criterion_07_saturation_leg():
     t0 = time.perf_counter()
-    grid = ws.build_grid(-24, 24, 1537, -96, 96, 3073)
-    p_v = np.r_[
-        np.arange(-6, -4, 0.5),
-        np.arange(-4, -1, 0.1),
-        np.arange(-1, 6.0001, 0.5),
-    ]
-    out = distill_sweep(
-        DistillationConfig(
-            input=CubicPhase(GAMMA, 0.0, 1.6),
-            t=0.99,
-            p_v_samples=p_v,
-            input_grid=grid,
-            target_P_suc=0.01,
-            s_targ=4.0,
-        )
-    )
-    ratio = out.post_fid / fidelity_initial_analytic(1.6, 4.0)
+    config = study_job("effect", "effect_s1.6.csv")
+    out = distill_sweep(config)
+    s_ini = config.input.s
+    ratio = out.post_fid / fidelity_initial_analytic(s_ini, config.s_targ)
     elapsed = time.perf_counter() - t0
     report(
         "criterion 07 saturation",
-        f"s_ini=1.6 t=0.99 window=[{out.window[0]:.2f},{out.window[1]:.2f}] "
+        f"s_ini={s_ini} t={config.t} window=[{out.window[0]:.2f},{out.window[1]:.2f}] "
         f"P_suc={out.P_suc:.6f} avg_l1={out.avg_l1:.6f} fid_ratio={ratio:.4f} (<1) {elapsed:.0f}s",
     )
     assert ratio < 1.0
@@ -489,7 +462,7 @@ def test_criterion_11_conservation():
         for mag in (0.1, 0.3, 1.0):
             for phase in (1.0, 1j):
                 check(resource_wigner(ON(N, mag * phase), gd))
-    tall = ws.build_grid(-16, 16, 1025, -40, 40, 2561)
+    tall, _ = study_job("curves", "cubic.csv")
     taller = ws.build_grid(-16, 16, 1025, -80, 80, 5121)
     for s in (0.2, 0.5, 1.0, 1.5):
         check(resource_wigner(CubicPhase(GAMMA, 0.0, s), taller if s == 1.5 else tall))

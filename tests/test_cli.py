@@ -239,8 +239,8 @@ class TestStateCommand:
         assert np.array_equal(table.view(np.uint64), ref.view(np.uint64))
         flat = int(np.argmin(field.samples))
         iq, ip = np.unravel_index(flat, field.samples.shape)
-        assert abs(field.grid.axis(0, "q")[iq]) < 1e-12
-        assert abs(field.grid.axis(0, "p")[ip]) < 1e-12
+        assert abs(field.grid.axes[0][iq]) < 1e-12
+        assert abs(field.grid.axes[1][ip]) < 1e-12
         assert abs(field.samples.min() + 1.0 / (2.0 * math.pi)) < 1e-4
 
     def test_cubic_field_normalized(self, capsys, tmp_path):

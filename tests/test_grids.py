@@ -33,7 +33,7 @@ class TestGridConstruction:
         assert g.shape == (17, 9)
         assert g.mode_count == 1
         assert g.spacings == (0.5, 0.5)
-        assert g.axis(0, "q")[0] == -4 and g.axis(0, "p")[-1] == 2
+        assert g.axes[0][0] == -4 and g.axes[1][-1] == 2
 
     def test_default_grid(self):
         g = ws.default_grid()
@@ -43,7 +43,7 @@ class TestGridConstruction:
     def test_multimode_axes_order(self):
         g = ws.build_grid(-3, 3, 7, -5, 5, 11, modes=2)
         assert g.shape == (7, 11, 7, 11)
-        assert np.array_equal(g.axis(1, "p"), g.axes[3])
+        assert g.axis_index(1, "p") == 3
 
     @pytest.mark.parametrize(
         "args",
