@@ -40,7 +40,6 @@ from .special import airy_ai_scaled, laguerre
 from .states import (
     ON,
     CubicPhase,
-    Gaussian,
     GaussianStateParams,
     Number,
     PhotonMod,

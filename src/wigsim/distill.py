@@ -96,14 +96,15 @@ class OutcomeRecord:
 class DistillationConfig:
     """Inputs of a full outcome sweep.
 
-    input is either a resource-state record (realized on input_grid) or a
-    ready-made normalized field. Exactly one of window / target_P_suc may be
+    input is either a resource-state record (realized on input_grid, by
+    default the protocol grid) or a ready-made normalized field, whose grid
+    is then the input grid. Exactly one of window / target_P_suc may be
     given; neither means the full sampled range, and a window reaching past
-    it is clipped to it in the outcome. s_targ switches on fidelity
-    tracking toward cubic-phase targets with the input's gamma, so it needs a
+    it is clipped to it in the outcome. s_targ switches on fidelity tracking
+    toward cubic-phase targets with the input's gamma, so it needs a
     cubic-phase record as input. Each outcome's field lives on its own
-    lattice over the input grid, so output_grid is either None or the input
-    grid itself; the sweep refuses any other grid.
+    lattice over the input grid, so input_grid and output_grid may each be
+    None or the input grid; the sweep refuses any other grid.
     """
 
     input: object
@@ -144,18 +145,18 @@ class DistillationOutcome:
 
     avg_l1 is the window's integral of l1 = density * e^{N_L}. The blur and
     the homodyne integral have positive kernels, so the integral of l1 over
-    all outcomes is at most that of |W_in|: avg_l1 <= e^{ini_neg}.
+    all outcomes is at most that of |W_in|: avg_l1 <= e^{ini_neg}. Derived,
+    not stored: post_neg = avg_neg / P_suc, post_fid = avg_fid / P_suc (None
+    without fidelity tracking) and rate_bound.
     """
 
     records: tuple
     P_suc: float
     avg_neg: float
-    post_neg: float
     window: tuple
     ini_neg: float
     avg_l1: float
     avg_fid: float = None
-    post_fid: float = None
 
     def __post_init__(self):
         if any(r.density < 0 for r in self.records):
@@ -164,6 +165,14 @@ class DistillationOutcome:
             raise ValueError(f"P_suc={self.P_suc:.6f} outside [0, 1+tol]")
         if not self.window[0] < self.window[1]:
             raise ValueError("window must satisfy p- < p+")
+
+    @property
+    def post_neg(self) -> float:
+        return self.avg_neg / self.P_suc
+
+    @property
+    def post_fid(self) -> float | None:
+        return None if self.avg_fid is None else self.avg_fid / self.P_suc
 
     @property
     def rate_bound(self) -> float:
@@ -322,11 +331,9 @@ def distill_sweep(config: DistillationConfig) -> DistillationOutcome:
 
     given = config.input if isinstance(config.input, WignerField) else None
     grid_in = given.grid if given else config.input_grid or default_protocol_grid()
-    if config.output_grid is not None and config.output_grid != grid_in:
-        raise GridMismatchError(
-            "each outcome has its own lattice over the input grid; "
-            "output_grid may only repeat the input grid"
-        )
+    for name, grid in (("input_grid", config.input_grid), ("output_grid", config.output_grid)):
+        if grid is not None and grid != grid_in:
+            raise GridMismatchError(f"{name} may only repeat the input grid (a field input's own)")
     field = given or resource_wigner(config.input, grid_in)
     ini_neg = log_negativity(field)
 
@@ -363,21 +370,18 @@ def distill_sweep(config: DistillationConfig) -> DistillationOutcome:
     avg_neg = _segment_integral(xs, dens * [r.neg for r in records], lo, hi)
     avg_l1 = _segment_integral(xs, np.array([r.l1 for r in records]), lo, hi)
 
-    avg_fid = post_fid = None
+    avg_fid = None
     if target is not None:
         avg_fid = _segment_integral(xs, dens * [r.fid for r in records], lo, hi)
-        post_fid = avg_fid / p_suc
 
     return DistillationOutcome(
         records=tuple(records),
         P_suc=float(p_suc),
         avg_neg=float(avg_neg),
-        post_neg=float(avg_neg / p_suc),
         window=(lo, hi),
         ini_neg=ini_neg,
         avg_l1=avg_l1,
         avg_fid=avg_fid,
-        post_fid=post_fid,
     )
 
 

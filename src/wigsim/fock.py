@@ -24,22 +24,21 @@ import numpy as np
 
 from .errors import TruncationError, UndefinedStateError
 from .grids import PhaseSpaceGrid, WignerField, wigner_from_wavefunction
-from .states import ON, Gaussian, GaussianStateParams, Number, PhotonMod, ResourceStateSpec
+from .states import ON, GaussianStateParams, Number, PhotonMod, ResourceStateSpec
 
 _TAIL_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
 class FockState:
-    """Pure state by its photon-number amplitudes, truncated at `cutoff`."""
+    """Pure state by its photon-number amplitudes; its cutoff is their length."""
 
-    cutoff: int
     amplitudes: np.ndarray
 
     def __post_init__(self):
         vec = np.array(self.amplitudes, dtype=complex)
-        if vec.shape != (self.cutoff,):
-            raise ValueError("amplitudes shape must be (cutoff,)")
+        if vec.ndim != 1 or vec.size == 0:
+            raise ValueError("amplitudes must be a non-empty 1-D array")
         if not np.all(np.isfinite(vec)):
             raise ValueError("amplitudes must be finite")
         norm = float(np.vdot(vec, vec).real)
@@ -47,6 +46,10 @@ class FockState:
             raise ValueError(f"squared norm is {norm:.8f}, expected 1")
         vec.setflags(write=False)
         object.__setattr__(self, "amplitudes", vec)
+
+    @property
+    def cutoff(self) -> int:
+        return self.amplitudes.size
 
 
 def _squeezed_vacuum_vector(s: float, cutoff: int) -> np.ndarray:
@@ -124,18 +127,18 @@ def fock_density(spec: ResourceStateSpec, cutoff: int) -> FockState:
             raise TruncationError(f"cutoff {cutoff} cannot hold |{spec.n}>")
         v = np.zeros(cutoff, dtype=complex)
         v[spec.n] = 1.0
-        return FockState(cutoff, v)
+        return FockState(v)
     if isinstance(spec, ON):
         if spec.N >= cutoff:
             raise TruncationError(f"cutoff {cutoff} cannot hold |{spec.N}>")
         v = np.zeros(cutoff, dtype=complex)
         v[0] = 1.0
         v[spec.N] = spec.a
-        return FockState(cutoff, v / np.sqrt(1.0 + abs(spec.a) ** 2))
+        return FockState(v / np.sqrt(1.0 + abs(spec.a) ** 2))
     if isinstance(spec, PhotonMod):
-        return FockState(cutoff, _photon_mod_to_fock(spec, cutoff))
-    if isinstance(spec, Gaussian):
-        return FockState(cutoff, _gaussian_to_fock(spec.params, cutoff))
+        return FockState(_photon_mod_to_fock(spec, cutoff))
+    if isinstance(spec, GaussianStateParams):
+        return FockState(_gaussian_to_fock(spec, cutoff))
     raise ValueError(f"no Fock expansion for {type(spec).__name__}")
 
 

@@ -31,9 +31,6 @@ from .errors import (
 
 TOL_NORM = 1e-3
 
-DEFAULT_QMAX = 16.0
-DEFAULT_POINTS = 1025
-
 # points per block of leading-axis rows: few enough that every temporary of a
 # row-block loop stays in the L2 cache, enough to amortize numpy's call cost.
 # Every such loop (fills, integrals, chirp-z batches, resampler gathers, CSV
@@ -52,16 +49,21 @@ def _rows(arrays, block) -> tuple:
     return tuple(a if a.shape[0] == 1 else a[block] for a in arrays)
 
 
+def _uneven_steps(ax: np.ndarray) -> np.ndarray:
+    """Steps of ax off its mean step by more than 1e-9 of it (False where not finite)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = (ax[-1] - ax[0]) / (ax.size - 1)
+        return np.abs(np.diff(ax) - d) > 1e-9 * max(abs(d), 1e-30)
+
+
 def _check_axis(ax: np.ndarray) -> None:
     if ax.ndim != 1 or ax.size < 3:
         raise InvalidGridError("each axis needs at least 3 points")
     if not np.all(np.isfinite(ax)):
         raise InvalidGridError("axis values must be finite")
-    steps = np.diff(ax)
-    if np.any(steps <= 0):
+    if np.any(np.diff(ax) <= 0):
         raise InvalidGridError("axis values must be strictly increasing")
-    d = (ax[-1] - ax[0]) / (ax.size - 1)
-    if np.max(np.abs(steps - d)) > 1e-9 * max(abs(d), 1e-30):
+    if _uneven_steps(ax).any():
         raise InvalidGridError("axis spacing must be uniform")
 
 
@@ -132,13 +134,10 @@ def build_grid(
     p_min: float,
     p_max: float,
     n_p: int,
-    modes: int = 1,
 ) -> PhaseSpaceGrid:
-    """Uniform grid with the same (q, p) axes replicated for every mode."""
-    if not all(isinstance(count, (int, np.integer)) for count in (n_q, n_p, modes)):
-        raise InvalidGridError("n_q, n_p and modes must be integers")
-    if modes < 1:
-        raise InvalidGridError("modes must be >= 1")
+    """Uniform single-mode grid; a multi-mode grid is PhaseSpaceGrid(axes=...)."""
+    if not all(isinstance(count, (int, np.integer)) for count in (n_q, n_p)):
+        raise InvalidGridError("n_q and n_p must be integers")
     if n_q < 3 or n_p < 3:
         raise InvalidGridError("n_q and n_p must be >= 3")
     for lo, hi in ((q_min, q_max), (p_min, p_max)):
@@ -148,14 +147,12 @@ def build_grid(
             raise InvalidGridError("bounds must satisfy min < max")
     q = np.linspace(q_min, q_max, n_q)
     p = np.linspace(p_min, p_max, n_p)
-    return PhaseSpaceGrid(axes=(q, p) * modes)
+    return PhaseSpaceGrid(axes=(q, p))
 
 
-def default_grid(modes: int = 1) -> PhaseSpaceGrid:
+def default_grid() -> PhaseSpaceGrid:
     """The package default: [-16, 16]^2 with 1025 points per axis."""
-    m = DEFAULT_QMAX
-    n = DEFAULT_POINTS
-    return build_grid(-m, m, n, -m, m, n, modes=modes)
+    return build_grid(-16.0, 16.0, 1025, -16.0, 16.0, 1025)
 
 
 def trapezoid_weights(ax: np.ndarray) -> np.ndarray:
@@ -670,7 +667,7 @@ def read_field_csv(path) -> WignerField:
     2 modes + 1 values [-]d.dddddddddddde±dd[d], comma-separated, each
     ending in "\n" (the last may lack it), enumerating the grid row-major;
     anything else raises ValueError naming its line (for a coordinate, the
-    first line that disagrees with the axes the first rows give).
+    first line that bends or disagrees with the axes the first rows give).
 
     Every value is bitwise Python's float of its text, as NumPy's text
     reader gives it: the 13 digits M times 10^k. For |k| <= 22 that is one
@@ -710,14 +707,18 @@ def read_field_csv(path) -> WignerField:
                 raise ValueError(f"line {first + np.argmin(ok) + 2}: {_NOT_A_GRID}")
 
         def settle():
-            # the first axis moved on (or the rows ended), so each later axis is
-            # its column's leading increasing run at the stride of the axes after it
+            # the first axis moved on (or the rows ended), so each later axis is its column's
+            # leading increasing run at the stride of the axes after it, which must be uniform
             nonlocal axes, pending
             coords, axes, stride = np.concatenate(pending), [], 1
             for j in reversed(range(1, columns - 1)):
                 column = coords[::stride, j]
-                axes.insert(0, column[: np.argmax(np.append(column[1:] <= column[:-1], True)) + 1])
-                stride *= axes[0].size
+                axis = column[: np.argmax(np.append(column[1:] <= column[:-1], True)) + 1]
+                uneven = _uneven_steps(axis)
+                if uneven.any():
+                    raise ValueError(f"line {(np.argmax(uneven) + 1) * stride + 2}: {_NOT_A_GRID}")
+                axes.insert(0, axis)
+                stride *= axis.size
             pending = None
             check(coords, 0)
 

@@ -111,7 +111,7 @@ class PhotonMod:
 
 @dataclass(frozen=True)
 class GaussianStateParams:
-    """Mean vector and covariance of a Gaussian state, (q1,p1,...) order."""
+    """The Gaussian family's record: mean and covariance, (q1,p1,...) order."""
 
     mean: np.ndarray
     cov: np.ndarray
@@ -142,18 +142,7 @@ class GaussianStateParams:
         return self.mean.size // 2
 
 
-@dataclass(frozen=True)
-class Gaussian:
-    """Gaussian state specified by its first and second moments."""
-
-    params: GaussianStateParams
-
-    def __post_init__(self):
-        if not isinstance(self.params, GaussianStateParams):
-            raise ValueError("params must be GaussianStateParams")
-
-
-ResourceStateSpec = Union[Number, ON, CubicPhase, PhotonMod, Gaussian]
+ResourceStateSpec = Union[Number, ON, CubicPhase, PhotonMod, GaussianStateParams]
 
 
 def rotated_squeezed_cov(s: float, theta: float) -> np.ndarray:
@@ -420,6 +409,6 @@ def resource_wigner(spec: ResourceStateSpec, grid: PhaseSpaceGrid) -> WignerFiel
         return cubic_phase_wigner(spec.gamma, spec.P, spec.s, grid)
     if isinstance(spec, PhotonMod):
         return photon_mod_wigner(spec.sign, spec.s, spec.theta, grid)
-    if isinstance(spec, Gaussian):
-        return gaussian_wigner(spec.params, grid)
+    if isinstance(spec, GaussianStateParams):
+        return gaussian_wigner(spec, grid)
     raise ValueError(f"unknown resource spec {type(spec).__name__}")

@@ -10,6 +10,7 @@ run every row through it under the row's name.
 
 import math
 import time
+from functools import partial
 
 import numpy as np
 
@@ -24,7 +25,6 @@ from .grids import (
 from .monotones import fidelity_initial_analytic, fidelity_to_pure, log_negativity
 from .special import airy_ai_scaled, laguerre
 from .states import (
-    Gaussian,
     GaussianStateParams,
     Number,
     cubic_phase_wavefunction,
@@ -54,10 +54,8 @@ def _small_grid(extent=8.0):
     return build_grid(-extent, extent, 321, -extent, extent, 321)
 
 
-def _airy_values():
-    # Ai(0) = 3^(-2/3)/Gamma(2/3), e^{2/3} Ai(1) and Ai(-2), from tables
-    got = airy_ai_scaled(np.array([0.0, 1.0, -2.0]))
-    return np.abs(got - [0.3550280538878172, 0.26351364474914013, 0.22740742820168557]).max()
+def _airy_off(x, want):
+    return np.abs(airy_ai_scaled(np.array(x)) - want).max()
 
 
 def _laguerre_values():
@@ -119,7 +117,7 @@ def _fock_oracle_number():
 def _fock_oracle_gaussian():
     grid = _small_grid(10.0)
     params = GaussianStateParams(mean=np.zeros(2), cov=rotated_squeezed_cov(0.8, 0.4))
-    rec = wigner_from_fock(fock_density(Gaussian(params), cutoff=96), grid)
+    rec = wigner_from_fock(fock_density(params, cutoff=96), grid)
     return np.abs(rec.samples - gaussian_wigner(params, grid).samples).max()
 
 
@@ -149,7 +147,12 @@ def _distill_bound():
 
 
 CHECKS = (
-    ("airy-values", 1e-12, _airy_values),
+    # Ai(0) = 3^(-2/3)/Gamma(2/3), e^{2/3} Ai(1) and Ai(-2), from tables
+    ("airy-values", 1e-12, partial(_airy_off, [0.0, 1.0, -2.0],
+                                   [0.3550280538878172, 0.26351364474914013, 0.22740742820168557])),
+    # beyond |x| = 6: Ai(-8), e^{(2/3) 8^{3/2}} Ai(8) (scipy airy, airye), 1.4e-14 and 8.1e-15 off
+    ("airy-asymptotic", 5e-14,
+     partial(_airy_off, [-8.0, 8.0], [-0.05270505035638643, 0.16698807106393276])),
     ("laguerre-values", 1e-12, _laguerre_values),
     ("vacuum-peak", 1e-14, _vacuum_peak),
     ("number-state-origin", 1e-14, _number_state_origin),

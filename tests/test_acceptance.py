@@ -40,7 +40,6 @@ from wigsim.monotones import (
 from wigsim.states import (
     ON,
     CubicPhase,
-    Gaussian,
     GaussianStateParams,
     Number,
     PhotonMod,
@@ -393,11 +392,7 @@ def test_criterion_10_oracle_equivalence():
                 )
                 exact_dev = max(exact_dev, dev)
     for s in (0.2, 0.5, 1.0, 1.5):
-        spec = Gaussian(
-            params=GaussianStateParams(
-                mean=np.zeros(2), cov=rotated_squeezed_cov(s, 0.4)
-            )
-        )
+        spec = GaussianStateParams(mean=np.zeros(2), cov=rotated_squeezed_cov(s, 0.4))
         dev = np.max(
             np.abs(
                 wigner_from_fock(fock_density(spec, 300), g257).samples

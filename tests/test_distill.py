@@ -513,12 +513,14 @@ class TestSweep:
         assert all(0.0 < r.fid <= 1.0 for r in out.records)
 
     def test_output_grid_must_be_the_input_grid(self, monkeypatch, grid_small):
+        # a field input fixes the input grid, so input_grid may only repeat it too
         vac = vacuum_wigner(grid_small)
         equal = ws.build_grid(-8, 8, 161, -8, 8, 161)
-        same = distill_sweep(
-            DistillationConfig(input=vac, t=0.9, p_v_samples=np.linspace(-2, 2, 5),
-                               output_grid=equal)
-        )
+        with pytest.warns(UserWarning, match="clamping"):  # the vacuum's N_L is -2.7e-15
+            same = distill_sweep(
+                DistillationConfig(input=vac, t=0.9, p_v_samples=np.linspace(-2, 2, 5),
+                                   input_grid=equal, output_grid=equal)
+            )
         assert same.P_suc > 0.0
 
         def no_outcome(*args):
@@ -527,9 +529,10 @@ class TestSweep:
         monkeypatch.setattr(distill, "_blur", no_outcome)
         for grid in (ws.build_grid(-8, 8, 161, -9, 9, 161),
                      ws.build_grid(-8, 8, 161, -8, 8, 163)):
-            config = DistillationConfig(input=vac, t=0.9, output_grid=grid)
-            with pytest.raises(ws.GridMismatchError):
-                distill_sweep(config)
+            for name in ("input_grid", "output_grid"):
+                config = DistillationConfig(input=vac, t=0.9, **{name: grid})
+                with pytest.raises(ws.GridMismatchError, match=name):
+                    distill_sweep(config)
 
     def test_records_come_from_columns_alone(self, monkeypatch, grid_small):
         # without fidelity tracking a sweep blurs once and never builds an
@@ -612,7 +615,8 @@ class TestSweep:
         config = DistillationConfig(
             input=vacuum_wigner(grid_small), t=0.9, p_v_samples=np.array([0.0, 60.0]),
         )
-        with pytest.raises(ws.DegenerateConditioningError, match="at p_v=60.000 below"):
+        with pytest.warns(UserWarning, match="clamping"), \
+                pytest.raises(ws.DegenerateConditioningError, match="at p_v=60.000 below"):
             distill_sweep(config)
 
     def test_csv_deterministic(self, small_sweep, tmp_path):

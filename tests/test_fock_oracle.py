@@ -9,7 +9,6 @@ from wigsim.fock import FockState, fock_density, wigner_from_fock
 from wigsim.states import (
     ON,
     CubicPhase,
-    Gaussian,
     GaussianStateParams,
     Number,
     PhotonMod,
@@ -58,15 +57,16 @@ class TestFockDensity:
     @pytest.mark.parametrize("cutoff", [47, 48, 49])
     def test_squeezed_expansion_any_cutoff_parity(self, cutoff):
         # even cutoffs once wrote past the end of the coefficient vector
-        spec = Gaussian(
-            params=GaussianStateParams(mean=np.zeros(2), cov=rotated_squeezed_cov(0.8, 0.0))
-        )
+        spec = GaussianStateParams(mean=np.zeros(2), cov=rotated_squeezed_cov(0.8, 0.0))
         v = fock_density(spec, cutoff).amplitudes
         assert abs(np.vdot(v, v).real - 1.0) < 1e-8
 
     def test_state_validation(self):
-        with pytest.raises(ValueError):
-            FockState(cutoff=4, amplitudes=np.ones(3) / np.sqrt(3))
+        for amplitudes in (np.full((2, 2), 0.5), np.zeros(0)):
+            with pytest.raises(ValueError, match="non-empty 1-D"):
+                FockState(amplitudes)
+        # the cutoff is the length of the amplitudes
+        assert FockState(np.ones(3) / np.sqrt(3)).cutoff == 3
 
 
 class TestOracleAgreement:
@@ -99,9 +99,7 @@ class TestOracleAgreement:
     def test_high_cutoff_stays_finite(self):
         # the angular factor z^k/sqrt(k!) must not overflow at k > 170
         g = ws.build_grid(-9, 9, 81, -9, 9, 81)
-        spec = Gaussian(
-            params=GaussianStateParams(mean=np.zeros(2), cov=rotated_squeezed_cov(1.5, 0.0))
-        )
+        spec = GaussianStateParams(mean=np.zeros(2), cov=rotated_squeezed_cov(1.5, 0.0))
         rec = wigner_from_fock(fock_density(spec, 300), g)
         assert np.all(np.isfinite(rec.samples))
         ref = resource_wigner(spec, g)

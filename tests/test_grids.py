@@ -27,6 +27,11 @@ from wigsim.grids import (
 )
 
 
+def modes_grid(modes, *bounds) -> PhaseSpaceGrid:
+    """build_grid's (q, p) axes repeated for each mode."""
+    return PhaseSpaceGrid(axes=ws.build_grid(*bounds).axes * modes)
+
+
 class TestGridConstruction:
     def test_build_grid_shape_and_spacing(self):
         g = ws.build_grid(-4, 4, 17, -2, 2, 9)
@@ -41,7 +46,7 @@ class TestGridConstruction:
         assert g.axes[0][0] == -16.0 and g.axes[0][-1] == 16.0
 
     def test_multimode_axes_order(self):
-        g = ws.build_grid(-3, 3, 7, -5, 5, 11, modes=2)
+        g = modes_grid(2, -3, 3, 7, -5, 5, 11)
         assert g.shape == (7, 11, 7, 11)
         assert g.axis_index(1, "p") == 3
 
@@ -52,7 +57,6 @@ class TestGridConstruction:
             (4, -4, 9, -4, 4, 9),
             (-4, 4, 9, -4, np.inf, 9),
             (-1, 1, 9.5, -1, 1, 9),
-            (-1, 1, 9, -1, 1, 9, 1.5),
         ],
     )
     def test_build_grid_rejects(self, args):
@@ -60,8 +64,8 @@ class TestGridConstruction:
             ws.build_grid(*args)
 
     def test_build_grid_takes_numpy_integer_counts(self):
-        g = ws.build_grid(-1, 1, np.int64(5), -1, 1, np.int32(7), modes=np.int64(2))
-        assert g.shape == (5, 7, 5, 7)
+        g = ws.build_grid(-1, 1, np.int64(5), -1, 1, np.int32(7))
+        assert g.shape == (5, 7)
 
     def test_nonuniform_axis_rejected(self):
         with pytest.raises(InvalidGridError):
@@ -418,7 +422,7 @@ class TestCsvRoundTrip:
 
     @pytest.mark.parametrize("modes", [1, 2])
     def test_write_matches_savetxt_bytes(self, tmp_path, modes):
-        g = ws.build_grid(-3, 3, 9, -2, 2, 9, modes=modes)
+        g = modes_grid(modes, -3, 3, 9, -2, 2, 9)
         samples = np.random.default_rng(5).normal(size=g.shape)
         if modes == 1:
             samples[0, :5] = [0.0, -0.0, 1e-300, -1e300, 1e300]
@@ -435,7 +439,7 @@ class TestCsvRoundTrip:
     @pytest.mark.parametrize("modes", [1, 2])
     @pytest.mark.parametrize("edit", ["swap-rows", "move-coordinate"])
     def test_rejects_rows_that_do_not_enumerate_the_grid(self, tmp_path, modes, edit):
-        g = ws.build_grid(-3, 3, 5, -2, 2, 7, modes=modes)
+        g = modes_grid(modes, -3, 3, 5, -2, 2, 7)
         path = tmp_path / "field.csv"
         write_field_csv(field_from_samples(g, np.zeros(g.shape)), path)
         header, *rows = path.read_text().splitlines()
@@ -449,6 +453,22 @@ class TestCsvRoundTrip:
             rows[0] = ",".join(cells)
         path.write_text("\n".join([header, *rows]) + "\n")
         with pytest.raises(ValueError, match="not a row-major grid enumeration"):
+            read_field_csv(path)
+
+    @pytest.mark.parametrize("modes,row,column", [(1, 2, 1), (2, 2, 3), (2, 14, 2)])
+    def test_names_the_row_that_bends_an_axis(self, tmp_path, modes, row, column):
+        # a coordinate moved inside the first run of rows, from which the
+        # later axes are read: the error names its line, not a later row
+        # that disagrees with the bent axis
+        g = modes_grid(modes, -3, 3, 5, -2, 2, 7)
+        path = tmp_path / "field.csv"
+        write_field_csv(field_from_samples(g, np.zeros(g.shape)), path)
+        header, *rows = path.read_text().splitlines()
+        cells = rows[row].split(",")
+        cells[column] = f"{float(cells[column]) + 0.1:.12e}"
+        rows[row] = ",".join(cells)
+        path.write_text("\n".join([header, *rows]) + "\n")
+        with pytest.raises(ValueError, match=f"^line {row + 2}: CSV rows are not"):
             read_field_csv(path)
 
     def test_random_values_read_as_python_floats(self, tmp_path):
@@ -485,7 +505,7 @@ class TestCsvRoundTrip:
         # at 64 points a chunk is 256 bytes, about four 1-mode rows
         monkeypatch.setattr(grids, "_BLOCK_POINTS", block_points)
         g = ws.build_grid(-16, 16, 65, -32, 32, 129)
-        two = ws.build_grid(-3, 3, 5, -2, 2, 7, modes=2)
+        two = modes_grid(2, -3, 3, 5, -2, 2, 7)
         for field in (
             ws.cubic_phase_wigner(0.05, 0.0, 1.0, g),
             field_from_samples(two, np.random.default_rng(23).normal(size=two.shape)),

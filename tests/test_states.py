@@ -10,7 +10,6 @@ from wigsim import states
 from wigsim import (
     ON,
     CubicPhase,
-    Gaussian,
     GaussianStateParams,
     Number,
     PhotonMod,
@@ -437,7 +436,7 @@ def test_resource_wigner_dispatch(grid_small):
         (Number(n=2), number_state_wigner(2, grid_small)),
         (ON(N=2, a=0.4), on_state_wigner(2, 0.4, grid_small)),
         (
-            Gaussian(params=GaussianStateParams(mean=np.zeros(2), cov=np.eye(2))),
+            GaussianStateParams(mean=np.zeros(2), cov=np.eye(2)),
             vacuum_wigner(grid_small),
         ),
     ]
