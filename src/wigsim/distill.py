@@ -21,12 +21,25 @@ which normalizes the conditional state, and l1 = integral |raw| from the
 q-integrals of B and |B| dotted with G times the p-weights; N_L =
 ln(l1 / density). Only distill_conditional builds a field or holds B whole.
 
+A sweep needs those q-integrals alone, and two exact identities cut the
+arithmetic behind them to about a quarter on the protocol grid. Parity: on
+a q-axis antisymmetric to the bit, an input (and target) even in q to the
+bit gives an even B, so only the rows with q <= 0 are blurred, each with
+its mirror row's trapezoid weight added; every cubic-phase input is even
+there, as its mirror rows are copies. Sign split: the q-integral of B is
+linear in W_in, so it is one matrix-vector product, and in a column of W_in
+with no negative sample B >= 0, so the q-integral of |B| is that of B. The
+banded matmul then runs only over the column range holding W_in's negative
+samples (p >~ 0 for a cubic input, none for the vacuum), or over every
+column when a target is tracked.
+
 The blur's matrix product runs on normal doubles only, as subnormal
 arithmetic would make it 2-3x slower: the cubic-phase input holds no
 subnormal sample, and the kernel is lifted by an exact power of two (_lift).
-The columns keep the unlifted product's bits; B differs from it only in
-entries the unlifted product rounded at subnormal precision (below 1e-291
-on the protocol grid).
+distill_conditional's columns keep the unlifted product's bits, and its B
+differs from it only in entries the unlifted product rounded at subnormal
+precision (below 1e-291 on the protocol grid). A sweep's columns, folded
+and split, agree with those to about 1e-15 of the largest column.
 
 Postselection keeps a contiguous outcome window [p-, p+]. Over a window,
 P_suc integrates the density, avg_neg integrates density * negativity, and
@@ -203,39 +216,99 @@ def _lift(samples: np.ndarray, w_q: np.ndarray, t: float) -> float:
 def _blur(field: WignerField, t: float, whole: bool = False, target=None) -> tuple:
     """Columns w_q B, w_q |B| (and f = w_q B T given T) of B = K @ W; B if whole.
 
-    B is banded by row blocks. The product runs in lifted units (a target's
-    |T| <= 1/(2 pi) keeps f within the bound on |B|) and the columns are
-    scaled back once; each block of B is flushed below 2^-1022 lift before
-    it is scaled back, so B holds no subnormal.
+    B is banded by row blocks and the product runs in lifted units (a
+    target's |T| <= 1/(2 pi) keeps f within the bound on |B|); the columns
+    are scaled back once. whole=True, distill_conditional's path, takes no
+    target and blurs every row; it flushes each block of B below 2^-1022
+    lift before it scales it back, so B holds no subnormal.
     """
     field.grid.require_single_mode("the distillation conditional")
     if not field.normalized:
         raise UnnormalizedFieldError("distillation input must be normalized")
     if not 0.0 < t < 1.0:
         raise ValueError("transmittance must lie strictly inside (0, 1)")
-    q = field.grid.axes[0]
-    var2, src = 2.0 * (1.0 - t), np.sqrt(t) * q
-    reach = np.sqrt(var2 * _BAND_DEPTH)
+    q, samples = field.grid.axes[0], field.samples
     w_q = trapezoid_weights(q)
-    lift = _lift(field.samples, w_q, t)
-    weights = w_q / (2.0 * np.pi * np.sqrt(1.0 - t)) * lift
+    lift = _lift(samples, w_q, t)
+    if not whole:
+        return _blurred_columns(q, samples, t, lift, target) / lift, None
     floor = np.finfo(float).tiny * lift
-    columns = np.zeros((2 if target is None else 3, field.samples.shape[1]))
-    blurred = np.zeros(field.samples.shape) if whole else None
-    for rows in row_blocks(field.samples.shape):
-        lo, hi = np.searchsorted(src, q[rows][[0, -1]] + [-reach, reach])
-        diff = q[rows, None] - src[lo:hi]
-        block = (np.exp(-diff * diff / var2) * weights[lo:hi]) @ field.samples[lo:hi]
+    columns = np.zeros((2, samples.shape[1]))
+    blurred = np.zeros(samples.shape)
+    for rows, lo, hi, kernel in _kernel_blocks(q, t, lift, samples.shape):
+        block = kernel @ samples[lo:hi]
         columns[0] += w_q[rows] @ block
-        if target is not None:
-            columns[2] += w_q[rows] @ (block * target[rows])
-        # |block| only once block * T is freed: one block-sized temporary at a time
         magnitude = np.abs(block)
         columns[1] += w_q[rows] @ magnitude
-        if whole:
-            np.multiply(block, 1.0 / lift, out=blurred[rows], where=magnitude >= floor)
-    columns /= lift
-    return columns, blurred
+        np.multiply(block, 1.0 / lift, out=blurred[rows], where=magnitude >= floor)
+    return columns / lift, blurred
+
+
+def _kernel_blocks(q, t: float, lift: float, shape):
+    """(rows, lo, hi, lifted K[rows, lo:hi]) over the row blocks of a field of shape.
+
+    Input rows lo:hi are those within the band of some row of the block.
+    """
+    var2, src = 2.0 * (1.0 - t), np.sqrt(t) * q
+    reach = np.sqrt(var2 * _BAND_DEPTH)
+    weights = trapezoid_weights(q) / (2.0 * np.pi * np.sqrt(1.0 - t)) * lift
+    for rows in row_blocks(shape):
+        rows = slice(*rows.indices(shape[0]))  # the last block ends at row shape[0]
+        lo, hi = np.searchsorted(src, q[rows][[0, -1]] + [-reach, reach])
+        diff = q[rows, None] - src[lo:hi]
+        yield rows, lo, hi, np.exp(-diff * diff / var2) * weights[lo:hi]
+
+
+def _blurred_columns(q, samples, t: float, lift: float, target) -> np.ndarray:
+    """lift * (w_q B, w_q |B| and f given T), by the module docstring's fold and split.
+
+    The fold needs q == -q[::-1], W and T even to the bit; the folded w^T K
+    equals the unfolded one only in its product with an even W.
+    """
+    n, width = samples.shape
+    w = trapezoid_weights(q)
+    half = (n + 1) // 2  # the rows with q <= 0 on an antisymmetric axis
+    if np.array_equal(q, -q[::-1]) and all(_even(a) for a in (samples, target) if a is not None):
+        w[: n - half] += w[half:][::-1]
+        n = half
+    if target is None:
+        negative = np.flatnonzero(_column_minima(samples[:n]) < 0.0)
+        span = slice(negative[0], negative[-1] + 1) if negative.size else slice(0, 0)
+    else:
+        span = slice(0, width)
+    magnitude = np.zeros(span.stop - span.start)
+    overlap = np.zeros(width)
+    folded = np.zeros(q.size)
+    for rows, lo, hi, kernel in _kernel_blocks(q, t, lift, (n, width)):
+        folded[lo:hi] += w[rows] @ kernel
+        if magnitude.size:
+            block = kernel @ samples[lo:hi, span]
+            if target is not None:
+                overlap += w[rows] @ (block * target[rows])
+            magnitude += w[rows] @ np.abs(block, out=block)
+    density = folded @ samples
+    l1 = density.copy()
+    l1[span] = magnitude
+    return np.array([density, l1] if target is None else [density, l1, overlap])
+
+
+def _even(samples) -> bool:
+    """Whether samples equal their q-mirror bitwise, checked a row block at a time."""
+    n = samples.shape[0]
+    half = (n + 1) // 2
+    for rows in row_blocks((half,) + samples.shape[1:]):
+        lo, hi = rows.indices(half)[:2]
+        if not np.array_equal(samples[lo:hi], samples[n - 1 - lo : n - 1 - hi : -1]):
+            return False
+    return True
+
+
+def _column_minima(samples) -> np.ndarray:
+    """Each column's smallest sample, a row block at a time."""
+    lowest = np.full(samples.shape[1], np.inf)
+    for rows in row_blocks(samples.shape):
+        np.minimum(lowest, samples[rows].min(axis=0), out=lowest)
+    return lowest
 
 
 def _outcome(columns, p_in, t: float, p_v: float) -> tuple:

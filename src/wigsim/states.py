@@ -28,7 +28,9 @@ gamma = 0 is an exact squeezed Gaussian.
 
 q enters W only through q^2, so the field is evaluated once per distinct |q|
 row and each mirror row copied from its twin, both in row blocks: half the
-Airy work on a symmetric grid, bit-identical to evaluating every row.
+Airy work on a symmetric grid, bit-identical to evaluating every row. The
+field's integral takes each distinct row's p-integral once, likewise, and
+has the bits of field_from_samples's.
 
 A sample with |W| < 2^-1022 is stored as 0 inside the closed form, so the
 field holds no subnormal double, whose products (in the distillation blur)
@@ -46,7 +48,7 @@ import numpy as np
 
 from .errors import GridMismatchError, UndefinedStateError, UnnormalizedFieldError
 from .grids import (PhaseSpaceGrid, WignerField, field_from_samples, fill_by_rows,
-                    integrate_samples, row_blocks)
+                    integrate_samples, row_blocks, trapezoid_weights)
 from .special import airy_ai_scaled, laguerre
 from .symplectic import omega
 
@@ -310,28 +312,34 @@ def cubic_phase_wigner(
             f"gamma={gamma!r} is too close to 0: the closed form's exponent cancels "
             f"to an error of about {cancel:.1e}, above the Airy evaluator's {_AIRY_TOL:.0e}"
         )
-    return field_from_samples(grid, _mirrored_cubic_fill(gamma, P, s, grid))
+    samples, integral = _mirrored_cubic_fill(gamma, P, s, grid)
+    return WignerField(grid=grid, samples=samples, integral=integral)
 
 
-def _mirrored_cubic_fill(gamma: float, P: float, s: float, grid: PhaseSpaceGrid):
-    """_cubic_airy_samples on the open mesh, evaluated once per distinct |q|.
+def _mirrored_cubic_fill(gamma: float, P: float, s: float, grid: PhaseSpaceGrid) -> tuple:
+    """_cubic_airy_samples on the open mesh, evaluated once per distinct |q|, and its integral.
 
     The other rows are copied from the first row of their |q|, a row block at
     a time: a gather of every mirror row at once would hold half a field.
+    Each row's p-integral is taken on the first row of its |q| too; a row's
+    sum does not depend on its block, so the integral has the bits of
+    field_from_samples's.
     """
     q, p = grid.open_mesh()
     _, first, inverse = np.unique(np.abs(q[:, 0]), return_index=True, return_inverse=True)
     out = np.empty(grid.shape)
+    row_integrals = np.empty(grid.shape[0])
     for block in row_blocks((first.size,) + grid.shape[1:]):
         rows = first[block]
         out[rows] = _cubic_airy_samples(gamma, P, s, q[rows], p)
+        row_integrals[rows] = integrate_samples(out[rows], (None, grid.axes[1]))
     source = first[inverse]
     mirrors = np.flatnonzero(source != np.arange(source.size))
     for block in row_blocks((mirrors.size,) + grid.shape[1:]):
         rows = mirrors[block]
         out[rows] = out[source[rows]]
     out.setflags(write=False)
-    return out
+    return out, float(row_integrals[source] @ trapezoid_weights(grid.axes[0]))
 
 
 def photon_mod_wigner(

@@ -256,6 +256,135 @@ class TestConditional:
             assert abs(rec.neg - neg) <= 2e-5
 
 
+def _cubic_target(grid, t, gamma=0.05):
+    # the sweep's s = 4 target: the unshifted target on (q_in, p_in / sqrt(t))
+    q, p = grid.axes
+    return ws.cubic_phase_wigner(gamma, 0.0, 4.0, ws.PhaseSpaceGrid(axes=(q, p / np.sqrt(t)))).samples
+
+
+def _spy_columns_path(monkeypatch):
+    # counts the rows the columns path blurs and records the column range of
+    # each banded matmul, the only 2-D index it takes of the input samples
+    seen = {"rows": 0, "spans": []}
+    kernel_blocks, blurred_columns = distill._kernel_blocks, distill._blurred_columns
+
+    def counted(*args):
+        for rows, *rest in kernel_blocks(*args):
+            seen["rows"] += rows.stop - rows.start
+            yield rows, *rest
+
+    class Indexed(np.ndarray):
+        def __getitem__(self, key):
+            if isinstance(key, tuple):
+                seen["spans"].append(key[1])
+            return super().__getitem__(key)
+
+    monkeypatch.setattr(distill, "_kernel_blocks", counted)
+    monkeypatch.setattr(distill, "_blurred_columns", lambda q, samples, *rest:
+                        blurred_columns(q, samples.view(Indexed), *rest))
+    return seen
+
+
+class TestBlurColumns:
+    """The sweep's columns path (q-parity fold, sign split) against whole=True."""
+
+    @staticmethod
+    def assert_matches_whole(field, t, target=None, seen=None):
+        # per column, within 1.5e-15 of its largest entry: the fold and the
+        # matrix-vector density move the columns by up to 1.12e-15 on the
+        # protocol grid, as close to a long-double sum as the whole path's;
+        # seen, if given, counts the columns path's rows alone
+        columns, blurred = _blur(field, t, whole=True)
+        if target is not None:
+            f = ws.trapezoid_weights(field.grid.axes[0]) @ (blurred * target)
+            columns = np.vstack([columns, f])
+        if seen is not None:
+            seen["rows"] = 0
+        got, nothing = _blur(field, t, target=target)
+        assert nothing is None and got.shape == columns.shape
+        scale = np.max(np.abs(columns), axis=1, keepdims=True)
+        assert np.all(np.abs(got - columns) <= 1.5e-15 * scale)
+
+    @pytest.mark.parametrize("t", [0.9, 0.95, 0.99])
+    @pytest.mark.parametrize("s", [0.2, 1.0])
+    @pytest.mark.parametrize("gamma", [0.05, -0.05])
+    def test_matches_whole_columns(self, gamma, s, t):
+        grid = default_protocol_grid()
+        field = ws.cubic_phase_wigner(gamma, 0.0, s, grid)
+        self.assert_matches_whole(field, t)
+        self.assert_matches_whole(field, t, _cubic_target(grid, t, gamma))
+
+    def test_uneven_input_or_target_blurs_every_row(self, monkeypatch):
+        # a rotated photon-added state is not even in q, so neither it nor a
+        # cubic input tracking it as a target may fold
+        seen = _spy_columns_path(monkeypatch)
+        grid = default_protocol_grid()
+        uneven = ws.photon_mod_wigner(1, 0.5, 0.3, grid)
+        cubic = ws.cubic_phase_wigner(0.05, 0.0, 1.0, grid)
+        for field, target in ((uneven, None), (uneven, _cubic_target(grid, 0.9)),
+                              (cubic, uneven.samples)):
+            self.assert_matches_whole(field, 0.9, target, seen)
+            assert seen["rows"] == 1025
+
+    def test_asymmetric_axis_blurs_every_row(self, monkeypatch):
+        seen = _spy_columns_path(monkeypatch)
+        grid = ws.build_grid(-16, 15.5, 1009, -32, 32, 2049)
+        field = ws.cubic_phase_wigner(0.05, 0.0, 1.0, grid)
+        for target in (None, _cubic_target(grid, 0.95)):
+            self.assert_matches_whole(field, 0.95, target, seen)
+            assert seen["rows"] == 1009
+
+    def test_protocol_sweep_blurs_half_the_rows_over_the_negative_columns(self, monkeypatch):
+        # the cubic input is even on the protocol grid's antisymmetric q-axis,
+        # so 513 of its 1025 rows are blurred (q <= 0); without a target the
+        # matmul spans only the columns holding a negative sample
+        seen = _spy_columns_path(monkeypatch)
+        grid = default_protocol_grid()
+        field = ws.cubic_phase_wigner(0.05, 0.0, 1.0, grid)
+        negative = np.flatnonzero((field.samples < 0).any(axis=0))
+        assert 0 < negative[-1] + 1 - negative[0] < grid.shape[1] / 2
+        distill_sweep(DistillationConfig(input=field, t=0.95, p_v_samples=np.linspace(-3, 3, 7)))
+        assert grid.shape[0] == 1025 and seen["rows"] == 513
+        assert seen["spans"] and all(
+            span == slice(negative[0], negative[-1] + 1) for span in seen["spans"])
+        # a target needs B T wherever T is not 0: every column
+        seen.update(rows=0, spans=[])
+        distill_sweep(DistillationConfig(input=CubicPhase(0.05, 0.0, 1.0), t=0.95,
+                                         p_v_samples=np.linspace(-3, 3, 7), s_targ=4.0))
+        assert seen["rows"] == 513
+        assert seen["spans"] and all(span == slice(0, 2049) for span in seen["spans"])
+
+    def test_vacuum_sweep_runs_no_matmul(self, monkeypatch):
+        # no negative sample: w_q |B| is w_q B, so l1 equals the density to
+        # the bit and every N_L is exactly 0, with nothing to clamp
+        seen = _spy_columns_path(monkeypatch)
+        out = distill_sweep(DistillationConfig(
+            input=vacuum_wigner(default_protocol_grid()), t=0.9,
+            p_v_samples=np.linspace(-3, 3, 7),
+        ))
+        assert seen["rows"] == 513 and seen["spans"] == []
+        assert all(r.l1 == r.density and r.neg == 0.0 for r in out.records)
+
+    @pytest.mark.parametrize("tracked", [False, True])
+    def test_holds_row_blocks_only(self, tracked):
+        # the evenness check and the negative-column scan go a row block at a
+        # time: a boolean over half the protocol grid would add 4 row blocks
+        grid = default_protocol_grid()
+        field = ws.cubic_phase_wigner(0.05, 0.0, 1.0, grid)
+        target = _cubic_target(grid, 0.9) if tracked else None
+        block = row_blocks(grid.shape)[0].stop * grid.shape[1] * 8
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            _blur(field, 0.9, target=target)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # measured: 1.41 row blocks (B's block, the kernel), 2.49 with B T
+        assert peak <= (3 if tracked else 2) * block
+
+
 class TestSelectWindow:
     @staticmethod
     def records_from(xs, dens, negs):

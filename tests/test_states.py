@@ -283,6 +283,7 @@ def test_block_fill_equals_pointwise_closed_form(q_lo, q_hi, n_q, n_p):
                 field = cubic_phase_wigner(gamma, P, s, grid)
                 ref = _cubic_airy_samples(gamma, P, s, q, p)
                 assert np.array_equal(field.samples, ref)
+                assert field.integral == ws.field_from_samples(grid, ref).integral
     for n in (0, 1, 4):
         assert np.array_equal(number_state_wigner(n, grid).samples, _number_samples(n, q, p))
     for N, a in ((1, 0.5), (3, 0.2449j)):
@@ -308,17 +309,23 @@ def test_block_fill_equals_pointwise_closed_form(q_lo, q_hi, n_q, n_p):
 
 def test_cubic_fill_evaluates_each_distinct_abs_q_once(monkeypatch):
     # the protocol grid's q-axis is symmetric to the bit, so the closed form
-    # sees rows 0 ... 512 (q <= 0) and the others are copied from them
-    seen = []
+    # and the p-integrals see rows 0 ... 512 (q <= 0) and the others are
+    # copied from them
+    seen, integrated = [], []
 
     def counting(gamma, P, s, q, p):
         seen.append(q.shape[0])
         return _cubic_airy_samples(gamma, P, s, q, p)
 
+    def integrating(samples, axes):
+        integrated.append(samples.shape[0])
+        return ws.integrate_samples(samples, axes)
+
     monkeypatch.setattr(states, "_cubic_airy_samples", counting)
+    monkeypatch.setattr(states, "integrate_samples", integrating)
     grid = default_protocol_grid()
     field = cubic_phase_wigner(0.05, 0.0, 1.0, grid)
-    assert grid.shape[0] == 1025 and sum(seen) == 513
+    assert grid.shape[0] == 1025 and sum(seen) == 513 and sum(integrated) == 513
     assert np.array_equal(field.samples, _cubic_airy_samples(0.05, 0.0, 1.0, *grid.open_mesh()))
 
 
